@@ -66,12 +66,41 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
+def _as_int(value, path: str) -> int:
+    """Integer field; rejects booleans, fractional numbers and other text."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{path} must be an integer, got {value!r}")
+
+
+def _as_float(value, path: str) -> float:
+    """Real field; YAML reads exponents without a dot (``1e-6``) as text."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{path} must be a number, got {value!r}")
+
+
+def _as_bool(value, path: str) -> bool:
+    """Boolean field; only YAML true/false, never a string such as "false"."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path} must be true or false, got {value!r}")
+
+
 def _pair(value, path: str) -> Optional[tuple[float, float]]:
     if value is None:
         return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path} must be a two-element list")
-    return (float(value[0]), float(value[1]))
+    return (_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
 
 
 def _seed_rule(data, path: str) -> SeedRule:
@@ -81,7 +110,7 @@ def _seed_rule(data, path: str) -> SeedRule:
     if "variant" in data:
         kwargs["variant"] = str(data["variant"])
     if "k" in data and data["k"] is not None:
-        kwargs["k"] = int(data["k"])
+        kwargs["k"] = _as_int(data["k"], path + ".k")
     return SeedRule(**kwargs)
 
 
@@ -102,7 +131,7 @@ def _behavior(data, path: str) -> BehaviorConfig:
     kwargs = {}
     for name in scalar_fields:
         if name in data and data[name] is not None:
-            kwargs[name] = float(data[name])
+            kwargs[name] = _as_float(data[name], f"{path}.{name}")
     for name in pair_fields:
         if name in data:
             pair = _pair(data[name], f"{path}.{name}")
@@ -125,10 +154,10 @@ def _network(data, path: str) -> NetworkSpec:
     kwargs = {}
     for name in ("n_nodes", "n_infected", "rng_seed"):
         if name in data:
-            kwargs[name] = int(data[name])
+            kwargs[name] = _as_int(data[name], f"{path}.{name}")
     for name in ("mean_degree", "homophily_ratio", "differential_activity"):
         if name in data:
-            kwargs[name] = float(data[name])
+            kwargs[name] = _as_float(data[name], f"{path}.{name}")
     return NetworkSpec(**kwargs)
 
 
@@ -147,9 +176,11 @@ def _sampling(data, path: str) -> SamplingConfig:
     kwargs = {}
     for name in ("n_seeds", "coupons_per_respondent", "target_n", "rng_seed"):
         if name in data:
-            kwargs[name] = int(data[name])
+            kwargs[name] = _as_int(data[name], f"{path}.{name}")
     if "reseed_on_die_out" in data:
-        kwargs["reseed_on_die_out"] = bool(data["reseed_on_die_out"])
+        kwargs["reseed_on_die_out"] = _as_bool(
+            data["reseed_on_die_out"], path + ".reseed_on_die_out"
+        )
     if "seed_rule" in data:
         kwargs["seed_rule"] = _seed_rule(data["seed_rule"], path + ".seed_rule")
     if "behavior" in data:
@@ -163,10 +194,10 @@ def _ss_options(data, path: str) -> SsOptions:
     _check_keys(data, fields, path + ".")
     kwargs = {}
     if "tolerance" in data:
-        kwargs["tolerance"] = float(data["tolerance"])
+        kwargs["tolerance"] = _as_float(data["tolerance"], path + ".tolerance")
     for name in ("max_iterations", "mc_replications", "rng_seed"):
         if name in data:
-            kwargs[name] = int(data[name])
+            kwargs[name] = _as_int(data[name], f"{path}.{name}")
     if "method" in data:
         kwargs["method"] = str(data["method"])
     return SsOptions(**kwargs)
@@ -186,9 +217,11 @@ def parse_config(document: Optional[dict]) -> RunConfig:
     est = _require_mapping(data.get("estimation"), "estimation")
     _check_keys(est, ("population_size", "mean_cell_size", "ss"), "estimation.")
     if est.get("population_size") is not None:
-        kwargs["population_size"] = int(est["population_size"])
+        kwargs["population_size"] = _as_int(
+            est["population_size"], "estimation.population_size"
+        )
     if "mean_cell_size" in est:
-        kwargs["mean_cell_size"] = int(est["mean_cell_size"])
+        kwargs["mean_cell_size"] = _as_int(est["mean_cell_size"], "estimation.mean_cell_size")
         if kwargs["mean_cell_size"] < 1:
             raise ConfigError(
                 f"estimation.mean_cell_size must be >= 1, got {kwargs['mean_cell_size']}"
@@ -198,13 +231,13 @@ def parse_config(document: Optional[dict]) -> RunConfig:
     exp = _require_mapping(data.get("experiment"), "experiment")
     _check_keys(exp, ("replications", "base_seed"), "experiment.")
     if "replications" in exp:
-        kwargs["replications"] = int(exp["replications"])
+        kwargs["replications"] = _as_int(exp["replications"], "experiment.replications")
         if kwargs["replications"] < 1:
             raise ConfigError(
                 f"experiment.replications must be >= 1, got {kwargs['replications']}"
             )
     if "base_seed" in exp:
-        kwargs["base_seed"] = int(exp["base_seed"])
+        kwargs["base_seed"] = _as_int(exp["base_seed"], "experiment.base_seed")
     return RunConfig(**kwargs)
 
 

@@ -66,6 +66,11 @@ ZERO_DEGREE = "zero_degree"
 #: Exact enumeration of successive sampling is feasible up to this many units.
 ENUMERATION_LIMIT = 12
 
+#: Newton steps allowed in `_asymptotic_inclusion`; each step from below
+#: advances t by about 1 / (typical surviving degree), so even sampling
+#: fractions near one need only a few dozen.
+_NEWTON_MAX_STEPS = 200
+
 
 # --------------------------------------------------------------------------
 # simple reweighting estimators
@@ -117,10 +122,14 @@ class SsOptions:
     """Controls for the successive-sampling fixed point.
 
     ``method`` is ``auto`` (exact enumeration for populations of at most
-    `ENUMERATION_LIMIT` units, Monte Carlo otherwise), ``monte_carlo``, or
-    ``enumerate``.  The Monte Carlo step reuses one frozen block of
-    exponential draws across fixed-point iterations, so the iteration is a
-    deterministic map and the tolerance is attainable.
+    `ENUMERATION_LIMIT` units, the large-population closed form otherwise),
+    ``enumerate``, ``asymptotic``, or ``monte_carlo``.  ``asymptotic`` is
+    deterministic and works on the real-valued estimated composition.
+    ``monte_carlo`` is the reference path: it reuses one frozen block of
+    ``mc_replications`` x N exponential draws, seeded by ``rng_seed``, across
+    fixed-point iterations, so the iteration is a deterministic map and the
+    tolerance is attainable.  ``mc_replications`` and ``rng_seed`` matter
+    only under ``monte_carlo``.
     """
 
     tolerance: float = 1e-6
@@ -130,7 +139,7 @@ class SsOptions:
     method: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.method not in ("auto", "monte_carlo", "enumerate"):
+        if self.method not in ("auto", "enumerate", "asymptotic", "monte_carlo"):
             raise ConfigError(f"unknown ss method {self.method!r}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
@@ -230,9 +239,41 @@ def _race_inclusion(
     return np.maximum(pi, 0.5 / (reps * counts))
 
 
+def _asymptotic_inclusion(
+    degrees: np.ndarray, counts: np.ndarray, draws: int
+) -> np.ndarray:
+    """Large-population per-class inclusion probabilities of the race.
+
+    With exponential clocks of rate equal to degree, the ``draws`` smallest
+    clocks of a large population fall below a threshold ``t`` fixed by the
+    expected sample size, so ``pi_k = 1 - exp(-d_k t)`` with
+    ``sum_k N_k pi_k = draws`` (order sampling with exponential ranking
+    variables, Rosen 1997).  ``counts`` may be real-valued.
+    """
+    rate = degrees.astype(np.float64)
+    size = counts.astype(np.float64)
+    if draws >= size.sum():  # census: every unit is drawn
+        return np.ones(degrees.size)
+    # f(t) = sum N_k (1 - exp(-d_k t)) - draws is increasing and concave, so
+    # Newton from t = 0 rises monotonically to the root; stop once a step no
+    # longer moves t.
+    t = 0.0
+    included = np.zeros(degrees.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        shortfall = draws - float(size @ included)
+        if shortfall <= 0.0:
+            break
+        advanced = t + shortfall / float((size * rate) @ (1.0 - included))
+        if advanced <= t:
+            break
+        t = advanced
+        included = -np.expm1(-rate * t)
+    return included
+
+
 def _resolve_method(method: str, population_size: int) -> str:
     if method == "auto":
-        return "enumerate" if population_size <= ENUMERATION_LIMIT else "monte_carlo"
+        return "enumerate" if population_size <= ENUMERATION_LIMIT else "asymptotic"
     return method
 
 
@@ -249,8 +290,11 @@ def ss_probabilities(
     counts = np.array([population_counts[d] for d in degrees.tolist()], dtype=np.int64)
     _check_composition(degrees, counts, draws)
     n_units = int(counts.sum())
-    if _resolve_method(options.method, n_units) == "enumerate":
+    method = _resolve_method(options.method, n_units)
+    if method == "enumerate":
         pi = _enumerated_inclusion(degrees, counts, draws)
+    elif method == "asymptotic":
+        pi = _asymptotic_inclusion(degrees, counts, draws)
     else:
         rng = np.random.default_rng(options.rng_seed)
         block = rng.standard_exponential((options.mc_replications, n_units))
@@ -305,24 +349,27 @@ def _ss_fixed_point(
     seen: dict[tuple[int, ...], int] = {}
     history: list[np.ndarray] = []
     for _ in range(options.max_iterations):
-        composition = _integer_composition(estimated, population_size)
-        key = tuple(composition.tolist())
-        if key in seen:
-            # The iteration walks a finite set of integer compositions, so a
-            # revisit means it entered a cycle (often two roundings that
-            # straddle the continuous fixed point).  The cycle average is
-            # the limit of the damped iteration; return it.
-            cycle = history[seen[key] :]
-            pi = np.mean(cycle, axis=0)
-            return dict(zip(degrees.tolist(), pi.tolist()))
-        if method == "enumerate":
-            pi = _enumerated_inclusion(degrees, composition, draws)
+        if method == "asymptotic":
+            pi = _asymptotic_inclusion(degrees, estimated, draws)
         else:
-            pi = _race_inclusion(block, degrees, composition, draws)
+            composition = _integer_composition(estimated, population_size)
+            key = tuple(composition.tolist())
+            if key in seen:
+                # The iteration walks a finite set of integer compositions, so
+                # a revisit means it entered a cycle (often two roundings that
+                # straddle the continuous fixed point).  The cycle average is
+                # the limit of the damped iteration; return it.
+                cycle = history[seen[key] :]
+                pi = np.mean(cycle, axis=0)
+                return dict(zip(degrees.tolist(), pi.tolist()))
+            if method == "enumerate":
+                pi = _enumerated_inclusion(degrees, composition, draws)
+            else:
+                pi = _race_inclusion(block, degrees, composition, draws)
+            seen[key] = len(history)
+            history.append(pi)
         if previous is not None and float(np.max(np.abs(pi - previous))) < options.tolerance:
             return dict(zip(degrees.tolist(), pi.tolist()))
-        seen[key] = len(history)
-        history.append(pi)
         previous = pi
         raw = sample_counts / pi
         estimated = raw * (population_size / raw.sum())

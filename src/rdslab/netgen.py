@@ -276,15 +276,25 @@ def save_network(net: Network, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
+def _int_tokens(tokens: list[str], path, lineno: int) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ConfigError(
+            f"{path}:{lineno}: expected integers, got {' '.join(tokens)!r}"
+        ) from None
+
+
 def load_network(path) -> Network:
     """Read a network written by `save_network`."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise ConfigError(f"{path}: malformed header, expected 'n_nodes n_infected'")
-        n, n_a = int(header[0]), int(header[1])
-        id_line = fh.readline().rstrip("\n")
-        ids = [int(tok) for tok in id_line.split()] if id_line.strip() else []
+        n, n_a = _int_tokens(header, path, 1)
+        if n < 0:
+            raise ConfigError(f"{path}:1: node count must be >= 0, got {n}")
+        ids = _int_tokens(fh.readline().split(), path, 2)
         if len(ids) != n_a:
             raise ConfigError(
                 f"{path}: header declares {n_a} infected ids, found {len(ids)}"
@@ -301,6 +311,6 @@ def load_network(path) -> Network:
             parts = line.split()
             if len(parts) != 2:
                 raise ConfigError(f"{path}:{lineno}: expected 'u v'")
-            edges.append((int(parts[0]), int(parts[1])))
+            edges.append(tuple(_int_tokens(parts, path, lineno)))
     edge_arr = np.array(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
     return Network(infected, edge_arr)

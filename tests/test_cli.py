@@ -110,6 +110,36 @@ class TestParseConfig:
             parse_config(document)
 
     @pytest.mark.parametrize(
+        "document,needle",
+        [
+            ({"sampling": {"reseed_on_die_out": "false"}}, "sampling.reseed_on_die_out"),
+            ({"sampling": {"reseed_on_die_out": 0}}, "sampling.reseed_on_die_out"),
+            ({"network": {"n_nodes": 1000.9}}, "network.n_nodes"),
+            ({"network": {"n_nodes": "abc"}}, "network.n_nodes"),
+            ({"network": {"rng_seed": True}}, "network.rng_seed"),
+            ({"network": {"mean_degree": "high"}}, "network.mean_degree"),
+            ({"sampling": {"behavior": {"pass_degree_ramp": [1, "x"]}}},
+             "sampling.behavior.pass_degree_ramp"),
+            ({"estimation": {"ss": {"max_iterations": 2.5}}}, "estimation.ss.max_iterations"),
+            ({"estimation": {"population_size": [1000]}}, "estimation.population_size"),
+            ({"experiment": {"replications": "many"}}, "experiment.replications"),
+        ],
+    )
+    def test_bad_scalars_named(self, document, needle):
+        with pytest.raises(ConfigError, match=needle.replace(".", r"\.")):
+            parse_config(document)
+
+    def test_exact_scalars_accepted(self):
+        cfg = parse_config({
+            "network": {"n_nodes": 1000.0, "mean_degree": 7},
+            "estimation": {"ss": {"tolerance": "1e-6"}},  # YAML 1.1 reads this as text
+        })
+        assert cfg.network.n_nodes == 1000
+        assert isinstance(cfg.network.n_nodes, int)
+        assert cfg.network.mean_degree == 7.0
+        assert cfg.ss_options.tolerance == 1e-6
+
+    @pytest.mark.parametrize(
         "document",
         [
             {"experiment": {"replications": 0}},
@@ -153,6 +183,24 @@ class TestExitCodes:
     def test_missing_input_file_is_two(self, tmp_path):
         assert dispatch(["sample", "--network", str(tmp_path / "nope.txt"),
                          "--out", str(tmp_path / "y.txt")]) == 2
+
+    def test_bad_config_value_is_one_json_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("network:\n  n_nodes: abc\n")
+        assert dispatch(["experiment", "--config", str(bad),
+                         "--out", str(tmp_path / "x")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert "network.n_nodes" in payload["message"]
+
+    def test_bad_network_token_is_one_json_line(self, tmp_path, capsys):
+        net = tmp_path / "net.txt"
+        net.write_text("3 1\n0\n0 x\n")
+        assert dispatch(["sample", "--network", str(net),
+                         "--out", str(tmp_path / "s.txt")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert f"{net}:3" in payload["message"]
 
     def test_bad_flags_are_one(self, tmp_path):
         assert dispatch(["gen"]) == 1

@@ -139,6 +139,7 @@ class TestInclusionProbabilities:
 
     def test_equal_degrees_give_uniform_inclusion(self):
         for opts in (SsOptions(method="enumerate"),
+                     SsOptions(method="asymptotic"),
                      SsOptions(method="monte_carlo", mc_replications=5000)):
             pi = ss_probabilities({5: 10}, 4, opts)
             assert pi[5] == pytest.approx(0.4, abs=1e-12)
@@ -164,6 +165,46 @@ class TestInclusionProbabilities:
         ordered = [pi[d] for d in sorted(counts)]
         assert all(a <= b + 1e-15 for a, b in zip(ordered, ordered[1:]))
 
+    def test_asymptotic_mass_monotonicity_and_census(self):
+        counts = {1: 40, 3: 30, 5: 20, 9: 10}
+        for draws in (1, 30, 99):
+            pi = ss_probabilities(counts, draws, SsOptions(method="asymptotic"))
+            mass = sum(c * pi[d] for d, c in counts.items())
+            assert mass == pytest.approx(draws, abs=1e-9)
+            ordered = [pi[d] for d in sorted(counts)]
+            assert all(a < b for a, b in zip(ordered, ordered[1:]))
+        census = ss_probabilities(counts, 100, SsOptions(method="asymptotic"))
+        assert census == {1: 1.0, 3: 1.0, 5: 1.0, 9: 1.0}
+
+    def test_asymptotic_within_three_monte_carlo_standard_errors(self):
+        counts = {1: 400, 3: 300, 5: 200, 9: 100}
+        reps = 4000
+        asym = ss_probabilities(counts, 200, SsOptions(method="asymptotic"))
+        mc = ss_probabilities(
+            counts, 200, SsOptions(method="monte_carlo", mc_replications=reps, rng_seed=1)
+        )
+        for degree, c in counts.items():
+            se = np.sqrt(mc[degree] * (1 - mc[degree]) / (reps * c))
+            assert abs(asym[degree] - mc[degree]) < 3 * se
+
+    def test_asymptotic_approaches_enumeration_as_population_grows(self):
+        gaps = []
+        for m in (4, 16, 64):
+            counts = {1: 2 * m, 2: m}
+            exact = ss_probabilities(counts, m, SsOptions(method="enumerate"))
+            asym = ss_probabilities(counts, m, SsOptions(method="asymptotic"))
+            gaps.append(max(abs(exact[d] - asym[d]) for d in counts))
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] < 5e-4
+
+    def test_auto_switches_to_asymptotic_above_enumeration_limit(self):
+        def pi(counts, method="auto"):
+            return ss_probabilities(counts, 4, SsOptions(method=method))
+
+        twelve, thirteen = {1: 8, 2: 4}, {1: 9, 2: 4}
+        assert pi(twelve) == pi(twelve, "enumerate") != pi(twelve, "asymptotic")
+        assert pi(thirteen) == pi(thirteen, "asymptotic") != pi(thirteen, "enumerate")
+
     def test_monte_carlo_deterministic_in_seed(self):
         opts = SsOptions(method="monte_carlo", mc_replications=2000, rng_seed=11)
         a = ss_probabilities({2: 50, 6: 25}, 20, opts)
@@ -185,11 +226,12 @@ class TestSsEstimate:
         )
 
     def test_nonconvergence_error_carries_partial(self, golden):
-        opts = SsOptions(method="enumerate", max_iterations=1, tolerance=1e-15)
-        with pytest.raises(EstimationError) as info:
-            ss_estimate(golden, 9, opts)
-        assert info.value.code == SS_NONCONVERGENCE
-        assert isinstance(info.value.partial, dict)
+        for method in ("enumerate", "asymptotic", "monte_carlo"):
+            opts = SsOptions(method=method, max_iterations=1, tolerance=1e-15)
+            with pytest.raises(EstimationError) as info:
+                ss_estimate(golden, 9, opts)
+            assert info.value.code == SS_NONCONVERGENCE
+            assert isinstance(info.value.partial, dict)
 
     def test_population_smaller_than_sample_rejected(self, golden):
         with pytest.raises(ConfigError):

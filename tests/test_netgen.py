@@ -197,3 +197,19 @@ class TestSerialization:
         path.write_text("5 2\n0\n0 1\n")
         with pytest.raises(ConfigError, match="infected"):
             load_network(path)
+
+    @pytest.mark.parametrize(
+        "text,lineno",
+        [("5 x\n0\n0 1\n", 1), ("5 1\nx\n0 1\n", 2), ("5 1\n0\n0 1\n\n0 x\n", 5)],
+    )
+    def test_non_integer_tokens_name_the_line(self, tmp_path, text, lineno):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=f"bad.txt:{lineno}: expected integers"):
+            load_network(path)
+
+    def test_negative_node_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("-1 0\n\n")
+        with pytest.raises(ConfigError, match="node count"):
+            load_network(path)
