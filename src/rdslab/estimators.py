@@ -122,14 +122,13 @@ class SsOptions:
     """Controls for the successive-sampling fixed point.
 
     ``method`` is ``auto`` (exact enumeration for populations of at most
-    `ENUMERATION_LIMIT` units, the large-population closed form otherwise),
-    ``enumerate``, ``asymptotic``, or ``monte_carlo``.  ``asymptotic`` is
-    deterministic and works on the real-valued estimated composition.
-    ``monte_carlo`` is the reference path: it reuses one frozen block of
-    ``mc_replications`` x N exponential draws, seeded by ``rng_seed``, across
-    fixed-point iterations, so the iteration is a deterministic map and the
-    tolerance is attainable.  ``mc_replications`` and ``rng_seed`` matter
-    only under ``monte_carlo``.
+    `ENUMERATION_LIMIT` units, otherwise the deterministic large-population
+    closed form on the real-valued estimated composition), ``enumerate``, or
+    ``monte_carlo``.  ``monte_carlo`` is the reference path: it reuses one
+    frozen block of ``mc_replications`` x N exponential draws, seeded by
+    ``rng_seed``, across fixed-point iterations, so the iteration is a
+    deterministic map and the tolerance is attainable.  ``mc_replications``
+    and ``rng_seed`` matter only under ``monte_carlo``.
     """
 
     tolerance: float = 1e-6
@@ -139,7 +138,7 @@ class SsOptions:
     method: str = "auto"
 
     def __post_init__(self) -> None:
-        if self.method not in ("auto", "enumerate", "asymptotic", "monte_carlo"):
+        if self.method not in ("auto", "enumerate", "monte_carlo"):
             raise ConfigError(f"unknown ss method {self.method!r}")
         if not self.tolerance > 0:
             raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")

@@ -31,6 +31,7 @@ from rdslab.estimators import (
     NO_CROSS_GROUP_RECRUITMENTS,
     NO_RECRUITMENTS_FROM_GROUP,
     SS_NONCONVERGENCE,
+    _asymptotic_inclusion,
     _balance_ratio,
     adjusted_degree,
     cross_group_counts,
@@ -139,10 +140,11 @@ class TestInclusionProbabilities:
 
     def test_equal_degrees_give_uniform_inclusion(self):
         for opts in (SsOptions(method="enumerate"),
-                     SsOptions(method="asymptotic"),
                      SsOptions(method="monte_carlo", mc_replications=5000)):
             pi = ss_probabilities({5: 10}, 4, opts)
             assert pi[5] == pytest.approx(0.4, abs=1e-12)
+        closed_form = _asymptotic_inclusion(np.array([5]), np.array([10]), 4)
+        assert closed_form[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_monte_carlo_within_three_standard_errors(self):
         reps = 100000
@@ -166,20 +168,20 @@ class TestInclusionProbabilities:
         assert all(a <= b + 1e-15 for a, b in zip(ordered, ordered[1:]))
 
     def test_asymptotic_mass_monotonicity_and_census(self):
-        counts = {1: 40, 3: 30, 5: 20, 9: 10}
+        counts = {1: 40, 3: 30, 5: 20, 9: 10}  # 100 units: auto is the closed form
         for draws in (1, 30, 99):
-            pi = ss_probabilities(counts, draws, SsOptions(method="asymptotic"))
+            pi = ss_probabilities(counts, draws, SsOptions())
             mass = sum(c * pi[d] for d, c in counts.items())
             assert mass == pytest.approx(draws, abs=1e-9)
             ordered = [pi[d] for d in sorted(counts)]
             assert all(a < b for a, b in zip(ordered, ordered[1:]))
-        census = ss_probabilities(counts, 100, SsOptions(method="asymptotic"))
+        census = ss_probabilities(counts, 100, SsOptions())
         assert census == {1: 1.0, 3: 1.0, 5: 1.0, 9: 1.0}
 
     def test_asymptotic_within_three_monte_carlo_standard_errors(self):
         counts = {1: 400, 3: 300, 5: 200, 9: 100}
         reps = 4000
-        asym = ss_probabilities(counts, 200, SsOptions(method="asymptotic"))
+        asym = ss_probabilities(counts, 200, SsOptions())
         mc = ss_probabilities(
             counts, 200, SsOptions(method="monte_carlo", mc_replications=reps, rng_seed=1)
         )
@@ -192,8 +194,8 @@ class TestInclusionProbabilities:
         for m in (4, 16, 64):
             counts = {1: 2 * m, 2: m}
             exact = ss_probabilities(counts, m, SsOptions(method="enumerate"))
-            asym = ss_probabilities(counts, m, SsOptions(method="asymptotic"))
-            gaps.append(max(abs(exact[d] - asym[d]) for d in counts))
+            asym = _asymptotic_inclusion(np.array([1, 2]), np.array([2 * m, m]), m)
+            gaps.append(max(abs(exact[1] - asym[0]), abs(exact[2] - asym[1])))
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] < 5e-4
 
@@ -201,9 +203,16 @@ class TestInclusionProbabilities:
         def pi(counts, method="auto"):
             return ss_probabilities(counts, 4, SsOptions(method=method))
 
+        def closed_form(counts):
+            degrees = sorted(counts)
+            values = _asymptotic_inclusion(
+                np.array(degrees), np.array([counts[d] for d in degrees]), 4
+            )
+            return dict(zip(degrees, values.tolist()))
+
         twelve, thirteen = {1: 8, 2: 4}, {1: 9, 2: 4}
-        assert pi(twelve) == pi(twelve, "enumerate") != pi(twelve, "asymptotic")
-        assert pi(thirteen) == pi(thirteen, "asymptotic") != pi(thirteen, "enumerate")
+        assert pi(twelve) == pi(twelve, "enumerate") != closed_form(twelve)
+        assert pi(thirteen) == closed_form(thirteen) != pi(thirteen, "enumerate")
 
     def test_monte_carlo_deterministic_in_seed(self):
         opts = SsOptions(method="monte_carlo", mc_replications=2000, rng_seed=11)
@@ -226,10 +235,11 @@ class TestSsEstimate:
         )
 
     def test_nonconvergence_error_carries_partial(self, golden):
-        for method in ("enumerate", "asymptotic", "monte_carlo"):
+        # auto on 50 units runs the closed form
+        for method, population in (("enumerate", 9), ("monte_carlo", 9), ("auto", 50)):
             opts = SsOptions(method=method, max_iterations=1, tolerance=1e-15)
             with pytest.raises(EstimationError) as info:
-                ss_estimate(golden, 9, opts)
+                ss_estimate(golden, population, opts)
             assert info.value.code == SS_NONCONVERGENCE
             assert isinstance(info.value.partial, dict)
 
