@@ -68,8 +68,10 @@ from .harness import (
     ReplicationRow,
     ReplicationTable,
     SummaryRow,
+    csv_lines,
     derive_rep_seeds,
     export_csv,
+    load_replication_csv,
     paired_difference_test,
     run_condition,
     run_replication,

@@ -5,9 +5,10 @@ sample over a network file), ``estimate`` (all five estimates for a sample
 file), ``experiment`` (replicated experiment, two CSVs), ``summarize``
 (summary CSV from a replication CSV).
 
-Configuration is a YAML document; every key is optional and unknown keys are
-rejected.  Exit codes: 0 success, 1 configuration error, 2 runtime error;
-failures print a single JSON line to stderr.
+Configuration is a YAML document; every key is optional, unknown keys are
+rejected, and each value is coerced strictly to its field's declared type.
+Exit codes: 0 success, 1 configuration error, 2 runtime error; failures
+print a single JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -16,24 +17,27 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
 import yaml
 
-from .errors import ConfigError, EstimationError, RdslabError, SamplingError
-from .estimators import ESTIMATOR_NAMES, EstimateSet, SsOptions
+from .errors import ConfigError, RdslabError
+from .errors import as_bool, as_float, as_int, as_str, read_text
+from .estimators import EstimateSet, SsOptions
 from .harness import (
     Condition,
-    REPLICATION_COLUMNS,
     ReplicationRow,
     ReplicationTable,
+    csv_lines,
     export_csv,
+    load_replication_csv,
     run_condition,
     summarize,
 )
 from .netgen import NetworkSpec, generate_network, load_network, save_network
-from .sampler import BehaviorConfig, SamplingConfig, SeedRule, load_sample, run_rds, save_sample
+from .sampler import SamplingConfig, load_sample, run_rds, save_sample
 
 __all__ = ["RunConfig", "parse_config", "read_config", "dispatch", "main"]
 
@@ -51,11 +55,24 @@ class RunConfig:
     replications: int = 300
     base_seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.mean_cell_size < 1:
+            raise ConfigError(f"estimation.mean_cell_size must be >= 1, got {self.mean_cell_size}")
+        if self.replications < 1:
+            raise ConfigError(f"experiment.replications must be >= 1, got {self.replications}")
 
-def _check_keys(data: dict, allowed: tuple[str, ...], path: str) -> None:
-    for key in data:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key {path}{key}")
+
+# The YAML sections that hold RunConfig's flat fields: section -> {key: field}.
+_FLAT_SECTIONS = {
+    "estimation": {
+        "population_size": "population_size",
+        "mean_cell_size": "mean_cell_size",
+        "ss": "ss_options",
+    },
+    "experiment": {"replications": "replications", "base_seed": "base_seed"},
+}
+
+_SCALARS = {int: as_int, float: as_float, bool: as_bool, str: as_str}
 
 
 def _require_mapping(value, path: str) -> dict:
@@ -66,189 +83,74 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _as_int(value, path: str) -> int:
-    """Integer field; rejects booleans, fractional numbers and other text."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{path} must be an integer, got {value!r}")
+def _coerce(declared, value, path: str):
+    """Convert one config value strictly to its declared field type.
 
-
-def _as_float(value, path: str) -> float:
-    """Real field; YAML reads exponents without a dot (``1e-6``) as text."""
-    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{path} must be a number, got {value!r}")
-
-
-def _as_bool(value, path: str) -> bool:
-    """Boolean field; only YAML true/false, never a string such as "false"."""
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{path} must be true or false, got {value!r}")
-
-
-def _pair(value, path: str) -> Optional[tuple[float, float]]:
+    A null section takes all its defaults; a null scalar is accepted only
+    where the field is ``Optional``.
+    """
+    if typing.get_origin(declared) is typing.Union:
+        if value is None:
+            return None
+        (declared,) = [arg for arg in typing.get_args(declared) if arg is not type(None)]
+    if dataclasses.is_dataclass(declared):
+        data = _require_mapping(value, path)
+        return _build(declared, {key: (item, f"{path}.{key}") for key, item in data.items()}, path)
     if value is None:
-        return None
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{path} must be a two-element list")
-    return (_as_float(value[0], f"{path}[0]"), _as_float(value[1], f"{path}[1]"))
-
-
-def _seed_rule(data, path: str) -> SeedRule:
-    data = _require_mapping(data, path)
-    _check_keys(data, ("variant", "k"), path + ".")
-    kwargs = {}
-    if "variant" in data:
-        kwargs["variant"] = str(data["variant"])
-    if "k" in data and data["k"] is not None:
-        kwargs["k"] = _as_int(data["k"], path + ".k")
-    return SeedRule(**kwargs)
-
-
-def _behavior(data, path: str) -> BehaviorConfig:
-    data = _require_mapping(data, path)
-    scalar_fields = (
-        "own_group_weight_uninfected",
-        "own_group_weight_infected",
-        "infected_candidate_weight",
-        "similar_degree_width",
-        "pass_prob_uninfected",
-        "pass_prob_infected",
-        "response_prob_uninfected",
-        "response_prob_infected",
-    )
-    pair_fields = ("candidate_degree_ramp", "pass_degree_ramp", "response_degree_ramp")
-    _check_keys(data, scalar_fields + pair_fields, path + ".")
-    kwargs = {}
-    for name in scalar_fields:
-        if name in data and data[name] is not None:
-            kwargs[name] = _as_float(data[name], f"{path}.{name}")
-    for name in pair_fields:
-        if name in data:
-            pair = _pair(data[name], f"{path}.{name}")
-            if pair is not None:
-                kwargs[name] = pair
-    return BehaviorConfig(**kwargs)
-
-
-def _network(data, path: str) -> NetworkSpec:
-    data = _require_mapping(data, path)
-    fields = (
-        "n_nodes",
-        "n_infected",
-        "mean_degree",
-        "homophily_ratio",
-        "differential_activity",
-        "rng_seed",
-    )
-    _check_keys(data, fields, path + ".")
-    kwargs = {}
-    for name in ("n_nodes", "n_infected", "rng_seed"):
-        if name in data:
-            kwargs[name] = _as_int(data[name], f"{path}.{name}")
-    for name in ("mean_degree", "homophily_ratio", "differential_activity"):
-        if name in data:
-            kwargs[name] = _as_float(data[name], f"{path}.{name}")
-    return NetworkSpec(**kwargs)
-
-
-def _sampling(data, path: str) -> SamplingConfig:
-    data = _require_mapping(data, path)
-    fields = (
-        "n_seeds",
-        "seed_rule",
-        "coupons_per_respondent",
-        "target_n",
-        "behavior",
-        "reseed_on_die_out",
-        "rng_seed",
-    )
-    _check_keys(data, fields, path + ".")
-    kwargs = {}
-    for name in ("n_seeds", "coupons_per_respondent", "target_n", "rng_seed"):
-        if name in data:
-            kwargs[name] = _as_int(data[name], f"{path}.{name}")
-    if "reseed_on_die_out" in data:
-        kwargs["reseed_on_die_out"] = _as_bool(
-            data["reseed_on_die_out"], path + ".reseed_on_die_out"
+        raise ConfigError(f"{path} must not be null")
+    if typing.get_origin(declared) is tuple:
+        members = typing.get_args(declared)
+        if not isinstance(value, (list, tuple)) or len(value) != len(members):
+            raise ConfigError(f"{path} must be a {len(members)}-element list")
+        return tuple(
+            _coerce(member, item, f"{path}[{i}]")
+            for i, (member, item) in enumerate(zip(members, value))
         )
-    if "seed_rule" in data:
-        kwargs["seed_rule"] = _seed_rule(data["seed_rule"], path + ".seed_rule")
-    if "behavior" in data:
-        kwargs["behavior"] = _behavior(data["behavior"], path + ".behavior")
-    return SamplingConfig(**kwargs)
+    return _SCALARS[declared](value, path)
 
 
-def _ss_options(data, path: str) -> SsOptions:
-    data = _require_mapping(data, path)
-    fields = ("tolerance", "max_iterations", "mc_replications", "rng_seed", "method")
-    _check_keys(data, fields, path + ".")
+def _build(cls, entries: dict, path: str):
+    """Instantiate config dataclass ``cls`` from ``{field: (value, dotted path)}``."""
+    hints = typing.get_type_hints(cls)
+    declared = {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.init}
     kwargs = {}
-    if "tolerance" in data:
-        kwargs["tolerance"] = _as_float(data["tolerance"], path + ".tolerance")
-    for name in ("max_iterations", "mc_replications", "rng_seed"):
-        if name in data:
-            kwargs[name] = _as_int(data[name], f"{path}.{name}")
-    if "method" in data:
-        kwargs["method"] = str(data["method"])
-    return SsOptions(**kwargs)
+    for name, (value, where) in entries.items():
+        if name not in declared:
+            raise ConfigError(f"unknown config key {where}")
+        kwargs[name] = _coerce(declared[name], value, where)
+    try:
+        return cls(**kwargs)
+    except ConfigError as err:
+        if path:
+            raise ConfigError(f"{path}: {err}") from None
+        raise
 
 
 def parse_config(document: Optional[dict]) -> RunConfig:
     """Validate a configuration mapping and fill every default."""
-    data = _require_mapping(document, "<root>")
-    _check_keys(data, ("label", "network", "sampling", "estimation", "experiment"), "")
-    kwargs: dict = {}
-    if "label" in data:
-        kwargs["label"] = str(data["label"])
-    if "network" in data:
-        kwargs["network"] = _network(data["network"], "network")
-    if "sampling" in data:
-        kwargs["sampling"] = _sampling(data["sampling"], "sampling")
-    est = _require_mapping(data.get("estimation"), "estimation")
-    _check_keys(est, ("population_size", "mean_cell_size", "ss"), "estimation.")
-    if est.get("population_size") is not None:
-        kwargs["population_size"] = _as_int(
-            est["population_size"], "estimation.population_size"
-        )
-    if "mean_cell_size" in est:
-        kwargs["mean_cell_size"] = _as_int(est["mean_cell_size"], "estimation.mean_cell_size")
-        if kwargs["mean_cell_size"] < 1:
-            raise ConfigError(
-                f"estimation.mean_cell_size must be >= 1, got {kwargs['mean_cell_size']}"
-            )
-    if "ss" in est:
-        kwargs["ss_options"] = _ss_options(est["ss"], "estimation.ss")
-    exp = _require_mapping(data.get("experiment"), "experiment")
-    _check_keys(exp, ("replications", "base_seed"), "experiment.")
-    if "replications" in exp:
-        kwargs["replications"] = _as_int(exp["replications"], "experiment.replications")
-        if kwargs["replications"] < 1:
-            raise ConfigError(
-                f"experiment.replications must be >= 1, got {kwargs['replications']}"
-            )
-    if "base_seed" in exp:
-        kwargs["base_seed"] = _as_int(exp["base_seed"], "experiment.base_seed")
-    return RunConfig(**kwargs)
+    flat_fields = {name for keys in _FLAT_SECTIONS.values() for name in keys.values()}
+    entries = {}
+    for key, value in _require_mapping(document, "<root>").items():
+        if key in _FLAT_SECTIONS:
+            keys = _FLAT_SECTIONS[key]
+            for inner, item in _require_mapping(value, key).items():
+                if inner not in keys:
+                    raise ConfigError(f"unknown config key {key}.{inner}")
+                entries[keys[inner]] = (item, f"{key}.{inner}")
+        elif key in flat_fields:
+            raise ConfigError(f"unknown config key {key}")
+        else:
+            entries[key] = (value, key)
+    return _build(RunConfig, entries, "")
 
 
 def read_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            document = yaml.safe_load(fh)
-        except yaml.YAMLError as err:
-            raise ConfigError(f"{path}: not valid YAML: {err}") from err
+    try:
+        document = yaml.safe_load(read_text(path))
+    except yaml.YAMLError as err:
+        raise ConfigError(f"{path}: not valid YAML: {err}") from err
     return parse_config(document)
 
 
@@ -361,10 +263,7 @@ def _cmd_estimate(args) -> int:
         export_csv(table, args.out)
         print(f"wrote {args.out}")
     else:
-        from .harness import _replication_lines
-
-        for line in _replication_lines(table):
-            print(line)
+        print("\n".join(csv_lines(table)))
     return 0
 
 
@@ -390,57 +289,13 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _parse_replication_csv(path: str) -> ReplicationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != ",".join(REPLICATION_COLUMNS):
-        raise ConfigError(f"{path}: not a replication table (unexpected header)")
-    label: Optional[str] = None
-    base_seed = 0
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(REPLICATION_COLUMNS):
-            raise ConfigError(
-                f"{path}:{lineno}: expected {len(REPLICATION_COLUMNS)} cells, got {len(cells)}"
-            )
-        if label is None:
-            label = cells[0]
-        elif cells[0] != label:
-            raise ConfigError(f"{path}:{lineno}: mixed condition labels in one table")
-        estimates = EstimateSet(
-            sh_equal_one=cells[7] == "1",
-            h_equal_one=cells[8] == "1",
-        )
-        for name, cell in zip(ESTIMATOR_NAMES, cells[2:7]):
-            if cell == "NA":
-                estimates.failures[name] = cells[9] or "recorded_failure"
-            else:
-                setattr(estimates, name, float(cell))
-        rows.append(
-            ReplicationRow(
-                replication=int(cells[1]),
-                estimates=estimates,
-                realized_n=int(cells[10]),
-                reseeds=int(cells[11]),
-            )
-        )
-    if label is None:
-        raise ConfigError(f"{path}: table has no rows")
-    return ReplicationTable(label=label, base_seed=base_seed, rows=rows)
-
-
 def _cmd_summarize(args) -> int:
-    table = _parse_replication_csv(args.table)
-    summary = summarize(table)
+    summary = summarize(load_replication_csv(args.table))
     if args.out:
         export_csv(summary, args.out)
         print(f"wrote {args.out}")
     else:
-        from .harness import _summary_lines
-
-        for line in _summary_lines(summary):
-            print(line)
+        print("\n".join(csv_lines(summary)))
     return 0
 
 
@@ -453,10 +308,7 @@ def dispatch(argv: Optional[list[str]] = None) -> int:
     except ConfigError as err:
         print(json.dumps({"error": "config", "message": str(err)}), file=sys.stderr)
         return 1
-    except (SamplingError, EstimationError, OSError) as err:
-        print(json.dumps({"error": "runtime", "message": str(err)}), file=sys.stderr)
-        return 2
-    except RdslabError as err:
+    except (RdslabError, OSError) as err:
         print(json.dumps({"error": "runtime", "message": str(err)}), file=sys.stderr)
         return 2
 

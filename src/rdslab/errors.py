@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and strict input coercion.
+
+Every value read from outside the program, a YAML config field or a token
+of a network, sample or replication-CSV file, goes through an ``as_*``
+helper below.  Each takes a location label, a dotted config path such as
+``network.n_nodes`` or a file position ``path:lineno``, and raises
+`ConfigError` naming it when the value is not of the declared kind.  Input
+files are read with `read_text`, so undecodable bytes raise it too.
+"""
 
 
 class RdslabError(Exception):
@@ -31,3 +39,55 @@ class EstimationError(RdslabError, RuntimeError):
         super().__init__(message)
         self.code = code
         self.partial = partial
+
+
+def as_int(value, where: str) -> int:
+    """Integer; rejects booleans, fractional numbers and other text."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
+
+
+def as_float(value, where: str) -> float:
+    """Real number; YAML reads exponents without a dot (``1e-6``) as text."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{where} must be a number, got {value!r}")
+
+
+def as_bool(value, where: str) -> bool:
+    """YAML true/false only, never a string such as ``"false"`` or a number."""
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be true or false, got {value!r}")
+
+
+def as_str(value, where: str) -> str:
+    """Text only, never a number, boolean or null read as text."""
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{where} must be text, got {value!r}")
+
+
+def as_flag(token: str, where: str) -> bool:
+    """A 0/1 flag token of a text file."""
+    if token in ("0", "1"):
+        return token == "1"
+    raise ConfigError(f"{where} must be 0 or 1, got {token!r}")
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file's contents; undecodable bytes raise `ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {err.start})") from None

@@ -9,7 +9,8 @@ base_seed see identical networks replication by replication (paired
 comparisons), and permuting execution order cannot change any row.
 
 Tables export to CSV with a fixed column order and 10-significant-digit
-decimals, so identical inputs produce byte-identical files.
+decimals, so identical inputs produce byte-identical files;
+`load_replication_csv` reads a replication CSV back.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 import numpy as np
 from scipy import stats
 
-from .errors import ConfigError, EstimationError
+from .errors import ConfigError, EstimationError, as_flag, as_float, as_int, read_text
 from .estimators import ESTIMATOR_NAMES, EstimateSet, SsOptions, estimate_all
 from .netgen import NetworkSpec, generate_network
 from .sampler import SamplingConfig, run_rds
@@ -39,7 +40,9 @@ __all__ = [
     "run_condition",
     "summarize",
     "paired_difference_test",
+    "csv_lines",
     "export_csv",
+    "load_replication_csv",
 ]
 
 REPLICATION_COLUMNS = (
@@ -269,61 +272,92 @@ def _failure_token(estimates: EstimateSet) -> str:
     return "|".join(codes)
 
 
-def _replication_lines(table: ReplicationTable) -> list[str]:
-    lines = [",".join(REPLICATION_COLUMNS)]
-    for row in sorted(table.rows, key=lambda r: r.replication):
-        e = row.estimates
-        lines.append(
-            ",".join(
-                [
-                    table.label,
-                    str(row.replication),
-                    _format_value(e.naive),
-                    _format_value(e.vh),
-                    _format_value(e.ss),
-                    _format_value(e.sh),
-                    _format_value(e.h),
-                    str(int(e.sh_equal_one)),
-                    str(int(e.h_equal_one)),
-                    _failure_token(e),
-                    str(row.realized_n),
-                    str(row.reseeds),
-                ]
-            )
-        )
-    return lines
+def csv_lines(table) -> list[str]:
+    """A replication table or a condition summary as CSV lines, header first.
 
-
-def _summary_lines(summary: ConditionSummary) -> list[str]:
-    lines = [",".join(SUMMARY_COLUMNS)]
-    for row in summary.rows:
-        lines.append(
-            ",".join(
-                [
-                    summary.label,
-                    row.estimator,
-                    _format_value(row.mean),
-                    _format_value(row.variance),
-                    str(row.count_one),
-                    str(row.count_fail),
-                    str(row.n_reps),
-                ]
-            )
-        )
-    return lines
+    Output is byte-stable: fixed header, fixed column order, decimals with
+    10 significant digits, ``NA`` for failed estimates.
+    """
+    if isinstance(table, ReplicationTable):
+        header = REPLICATION_COLUMNS
+        rows = [
+            [
+                str(row.replication),
+                *(_format_value(row.estimates.value_of(name)) for name in ESTIMATOR_NAMES),
+                str(int(row.estimates.sh_equal_one)),
+                str(int(row.estimates.h_equal_one)),
+                _failure_token(row.estimates),
+                str(row.realized_n),
+                str(row.reseeds),
+            ]
+            for row in sorted(table.rows, key=lambda r: r.replication)
+        ]
+    elif isinstance(table, ConditionSummary):
+        header = SUMMARY_COLUMNS
+        rows = [
+            [
+                row.estimator,
+                _format_value(row.mean),
+                _format_value(row.variance),
+                str(row.count_one),
+                str(row.count_fail),
+                str(row.n_reps),
+            ]
+            for row in table.rows
+        ]
+    else:
+        raise ConfigError(f"cannot export object of type {type(table).__name__}")
+    return [",".join(header)] + [",".join([table.label, *cells]) for cells in rows]
 
 
 def export_csv(table, path) -> None:
-    """Write a replication table or a condition summary as CSV.
-
-    Output is byte-stable: fixed header, fixed column order, decimals with
-    10 significant digits, ``NA`` for failed estimates, newline line ends.
-    """
-    if isinstance(table, ReplicationTable):
-        lines = _replication_lines(table)
-    elif isinstance(table, ConditionSummary):
-        lines = _summary_lines(table)
-    else:
-        raise ConfigError(f"cannot export object of type {type(table).__name__}")
+    """Write `csv_lines` of a replication table or a condition summary."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(csv_lines(table)) + "\n")
+
+
+def load_replication_csv(path) -> ReplicationTable:
+    """Read a replication table written by `export_csv`.
+
+    Exporting the result writes the same bytes again, except for values that
+    ten significant digits round past the largest double.  The base seed is
+    not in the file and reads as 0; a failed estimate takes the row's whole
+    ``failure_code`` cell as its code.
+    """
+    numbered = enumerate(read_text(path).split("\n"), start=1)
+    lines = [(lineno, line) for lineno, line in numbered if line.strip()]
+    if not lines or lines[0][1] != ",".join(REPLICATION_COLUMNS):
+        raise ConfigError(f"{path}: not a replication table (unexpected header)")
+    label: Optional[str] = None
+    rows = []
+    for lineno, line in lines[1:]:
+        where = f"{path}:{lineno}"
+        cells = line.split(",")
+        if len(cells) != len(REPLICATION_COLUMNS):
+            raise ConfigError(
+                f"{where}: expected {len(REPLICATION_COLUMNS)} cells, got {len(cells)}"
+            )
+        if label is None:
+            label = cells[0]
+        elif cells[0] != label:
+            raise ConfigError(f"{where}: mixed condition labels in one table")
+        estimates = EstimateSet(
+            sh_equal_one=as_flag(cells[7], where),
+            h_equal_one=as_flag(cells[8], where),
+        )
+        for name, cell in zip(ESTIMATOR_NAMES, cells[2:7]):
+            if cell == MISSING:
+                estimates.failures[name] = cells[9] or "recorded_failure"
+            else:
+                setattr(estimates, name, as_float(cell, where))
+        rows.append(
+            ReplicationRow(
+                replication=as_int(cells[1], where),
+                estimates=estimates,
+                realized_n=as_int(cells[10], where),
+                reseeds=as_int(cells[11], where),
+            )
+        )
+    if label is None:
+        raise ConfigError(f"{path}: table has no rows")
+    return ReplicationTable(label=label, base_seed=0, rows=rows)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, as_int, read_text
 
 __all__ = [
     "NetworkSpec",
@@ -276,41 +276,34 @@ def save_network(net: Network, path) -> None:
             fh.write(f"{u} {v}\n")
 
 
-def _int_tokens(tokens: list[str], path, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in tokens]
-    except ValueError:
-        raise ConfigError(
-            f"{path}:{lineno}: expected integers, got {' '.join(tokens)!r}"
-        ) from None
-
-
 def load_network(path) -> Network:
     """Read a network written by `save_network`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise ConfigError(f"{path}: malformed header, expected 'n_nodes n_infected'")
-        n, n_a = _int_tokens(header, path, 1)
-        if n < 0:
-            raise ConfigError(f"{path}:1: node count must be >= 0, got {n}")
-        ids = _int_tokens(fh.readline().split(), path, 2)
-        if len(ids) != n_a:
-            raise ConfigError(
-                f"{path}: header declares {n_a} infected ids, found {len(ids)}"
-            )
-        infected = np.zeros(n, dtype=bool)
-        for i in ids:
-            if not 0 <= i < n:
-                raise ConfigError(f"{path}: infected id {i} out of range")
-            infected[i] = True
-        edges = []
-        for lineno, line in enumerate(fh, start=3):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{lineno}: expected 'u v'")
-            edges.append(tuple(_int_tokens(parts, path, lineno)))
+    header, id_line, *edge_lines = read_text(path).split("\n") + [""]
+    if len(header.split()) != 2:
+        raise ConfigError(f"{path}: malformed header, expected 'n_nodes n_infected'")
+    n, n_a = (as_int(tok, f"{path}:1") for tok in header.split())
+    if n < 0:
+        raise ConfigError(f"{path}:1: node count must be >= 0, got {n}")
+    ids = [as_int(tok, f"{path}:2") for tok in id_line.split()]
+    if len(ids) != n_a:
+        raise ConfigError(f"{path}: header declares {n_a} infected ids, found {len(ids)}")
+    if len(set(ids)) != len(ids):
+        raise ConfigError(f"{path}:2: repeated infected id")
+    infected = np.zeros(n, dtype=bool)
+    for i in ids:
+        if not 0 <= i < n:
+            raise ConfigError(f"{path}:2: infected id {i} out of range")
+        infected[i] = True
+    edges = []
+    for lineno, line in enumerate(edge_lines, start=3):
+        if not line.strip():
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected 'u v'")
+        u, v = (as_int(tok, f"{path}:{lineno}") for tok in parts)
+        if not (0 <= u < n and 0 <= v < n):
+            raise ConfigError(f"{path}:{lineno}: edge endpoint out of range")
+        edges.append((u, v))
     edge_arr = np.array(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
     return Network(infected, edge_arr)

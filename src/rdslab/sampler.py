@@ -28,12 +28,12 @@ eligible neighbors, and everybody responds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, SamplingError
+from .errors import ConfigError, SamplingError, as_flag, as_int, read_text
 from .netgen import Network
 
 __all__ = [
@@ -415,6 +415,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
 
 
 _SAMPLE_COLUMNS = "order node_id degree infected recruiter_id wave reseed"
+_SAMPLE_META = (*(f.name for f in fields(EventCounts)), "exhausted")
 
 
 def save_sample(sample: Sample, path) -> None:
@@ -431,52 +432,47 @@ def save_sample(sample: Sample, path) -> None:
             fh.write(
                 f"{i} {r.node_id} {r.degree} {int(r.infected)} {rec} {r.wave} {int(r.reseed)}\n"
             )
-        c = sample.counts
-        fh.write(f"# coupons_issued {c.coupons_issued}\n")
-        fh.write(f"# coupons_used {c.coupons_used}\n")
-        fh.write(f"# coupons_expired {c.coupons_expired}\n")
-        fh.write(f"# nonresponses {c.nonresponses}\n")
-        fh.write(f"# exhausted {int(sample.exhausted)}\n")
+        tallies = {**asdict(sample.counts), "exhausted": int(sample.exhausted)}
+        for key in _SAMPLE_META:
+            fh.write(f"# {key} {tallies[key]}\n")
 
 
 def load_sample(path) -> Sample:
     """Read a sample written by `save_sample`."""
+    header, *lines = read_text(path).split("\n")
+    if header.strip() != _SAMPLE_COLUMNS:
+        raise ConfigError(f"{path}: unexpected header {header.strip()!r}")
     records: list[RespondentRecord] = []
     meta: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != _SAMPLE_COLUMNS:
-            raise ConfigError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{lineno}: malformed comment {line!r}")
-                meta[parts[0]] = int(parts[1])
-                continue
-            parts = line.split()
-            if len(parts) != 7:
-                raise ConfigError(f"{path}:{lineno}: expected 7 columns, got {len(parts)}")
-            order, node, degree, inf, rec, wave, reseed = (int(p) for p in parts)
-            if order != len(records):
-                raise ConfigError(f"{path}:{lineno}: order column out of sequence")
-            records.append(
-                RespondentRecord(
-                    node_id=node,
-                    degree=degree,
-                    infected=bool(inf),
-                    recruiter_id=None if rec < 0 else rec,
-                    wave=wave,
-                    reseed=bool(reseed),
-                )
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        where = f"{path}:{lineno}"
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) != 2:
+                raise ConfigError(f"{where}: malformed comment {line!r}")
+            key, token = parts
+            if key not in _SAMPLE_META:
+                raise ConfigError(f"{where}: unknown comment key {key!r}")
+            meta[key] = as_flag(token, where) if key == "exhausted" else as_int(token, where)
+            continue
+        parts = line.split()
+        if len(parts) != 7:
+            raise ConfigError(f"{where}: expected 7 columns, got {len(parts)}")
+        order, node, degree, rec, wave = (as_int(parts[i], where) for i in (0, 1, 2, 4, 5))
+        if order != len(records):
+            raise ConfigError(f"{where}: order column out of sequence")
+        records.append(
+            RespondentRecord(
+                node_id=node,
+                degree=degree,
+                infected=as_flag(parts[3], where),
+                recruiter_id=None if rec < 0 else rec,
+                wave=wave,
+                reseed=as_flag(parts[6], where),
             )
-    counts = EventCounts(
-        coupons_issued=meta.get("coupons_issued", 0),
-        coupons_used=meta.get("coupons_used", 0),
-        coupons_expired=meta.get("coupons_expired", 0),
-        nonresponses=meta.get("nonresponses", 0),
-    )
-    return Sample(records=records, counts=counts, exhausted=bool(meta.get("exhausted", 0)))
+        )
+    exhausted = meta.pop("exhausted", False)
+    return Sample(records=records, counts=EventCounts(**meta), exhausted=exhausted)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdslab import (
     Condition,
@@ -16,9 +19,15 @@ from rdslab import (
     export_csv,
     generate_network,
     load_network,
+    load_replication_csv,
+    load_sample,
     run_condition,
+    run_rds,
+    save_network,
+    save_sample,
 )
 from rdslab.cli import dispatch, parse_config
+from rdslab.harness import REPLICATION_COLUMNS
 
 BASE_YAML = """\
 label: demo
@@ -123,6 +132,13 @@ class TestParseConfig:
             ({"estimation": {"ss": {"max_iterations": 2.5}}}, "estimation.ss.max_iterations"),
             ({"estimation": {"population_size": [1000]}}, "estimation.population_size"),
             ({"experiment": {"replications": "many"}}, "experiment.replications"),
+            ({"label": None}, "label"),
+            ({"label": 2024}, "label"),
+            ({"sampling": {"behavior": {"own_group_weight_infected": None}}},
+             "sampling.behavior.own_group_weight_infected"),
+            ({"sampling": {"behavior": {"pass_degree_ramp": None}}},
+             "sampling.behavior.pass_degree_ramp"),
+            ({"estimation": {"ss": {"method": 3}}}, "estimation.ss.method"),
         ],
     )
     def test_bad_scalars_named(self, document, needle):
@@ -132,12 +148,21 @@ class TestParseConfig:
     def test_exact_scalars_accepted(self):
         cfg = parse_config({
             "network": {"n_nodes": 1000.0, "mean_degree": 7},
-            "estimation": {"ss": {"tolerance": "1e-6"}},  # YAML 1.1 reads this as text
+            "sampling": {
+                "seed_rule": {"k": None},
+                "behavior": {"similar_degree_width": None, "candidate_degree_ramp": None},
+            },
+            "estimation": {
+                "population_size": None,
+                "ss": {"tolerance": "1e-6"},  # YAML 1.1 reads this as text
+            },
         })
         assert cfg.network.n_nodes == 1000
         assert isinstance(cfg.network.n_nodes, int)
         assert cfg.network.mean_degree == 7.0
         assert cfg.ss_options.tolerance == 1e-6
+        assert cfg.sampling == SamplingConfig()
+        assert cfg.population_size is None
 
     @pytest.mark.parametrize(
         "document",
@@ -201,6 +226,17 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "config"
         assert f"{net}:3" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "rows,lineno", [("0 5 x 1 -1 0 0\n", 2), ("0 5 3 1 -1 0 0\n# exhausted yes\n", 3)]
+    )
+    def test_bad_sample_token_is_one_json_line(self, tmp_path, capsys, rows, lineno):
+        smp = tmp_path / "s.txt"
+        smp.write_text("order node_id degree infected recruiter_id wave reseed\n" + rows)
+        assert dispatch(["estimate", "--sample", str(smp), "--pop-size", "100"]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert f"{smp}:{lineno}" in payload["message"]
 
     def test_bad_flags_are_one(self, tmp_path):
         assert dispatch(["gen"]) == 1
@@ -319,6 +355,24 @@ class TestSummarize:
                         "b,1,0.5,0.5,0.5,0.5,0.5,0,0,,10,0\n")
         assert dispatch(["summarize", str(path), "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "a,0,abc,0.5,0.5,0.5,0.5,0,0,,10,0",
+            "a,0,0.5,0.5,0.5,0.5,0.5,0,0,,ten,0",
+            "a,0,0.5,0.5,0.5,0.5,0.5,yes,0,,10,0",
+        ],
+    )
+    def test_bad_cell_names_the_line(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(REPLICATION_COLUMNS) + "\n" + row + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2")):
+            load_replication_csv(path)
+        assert dispatch(["summarize", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "config"
+        assert f"{path}:2" in payload["message"]
+
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "foreign.csv"
         path.write_text("alpha,beta\n1,2\n")
@@ -338,3 +392,41 @@ class TestEstimateStdout:
         out_lines = capsys.readouterr().out.strip().splitlines()
         assert out_lines[0].startswith("condition_label,replication,naive")
         assert len(out_lines) == 2
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    """One small valid file of each input kind, with its loader."""
+    folder = tmp_path_factory.mktemp("valid")
+    net = generate_network(NetworkSpec(n_nodes=40, n_infected=8, mean_degree=3, rng_seed=2))
+    save_network(net, folder / "net.txt")
+    save_sample(run_rds(net, SamplingConfig(n_seeds=2, target_n=8, rng_seed=2)),
+                folder / "sample.txt")
+    condition = Condition(
+        label="m",
+        network=NetworkSpec(n_nodes=60, n_infected=12),
+        sampling=SamplingConfig(n_seeds=2, target_n=12),
+        replications=2,
+    )
+    export_csv(run_condition(condition), folder / "reps.csv")
+    return {
+        "network": ((folder / "net.txt").read_text(), load_network),
+        "sample": ((folder / "sample.txt").read_text(), load_sample),
+        "replications": ((folder / "reps.csv").read_text(), load_replication_csv),
+    }
+
+
+@pytest.mark.parametrize("kind", ["network", "sample", "replications"])
+@given(data=st.data())
+def test_mutated_file_loads_or_raises_config_error(tmp_path_factory, valid_files, kind, data):
+    text, loader = valid_files[kind]
+    tokens = list(re.finditer(r"[^\s,]+", text))
+    token = tokens[data.draw(st.integers(0, len(tokens) - 1))]
+    # Short replacements keep a mutated node count small enough to allocate.
+    replacement = data.draw(st.text(max_size=4))
+    path = tmp_path_factory.mktemp("mutated") / "file.txt"
+    path.write_text(text[: token.start()] + replacement + text[token.end():], encoding="utf-8")
+    try:
+        loader(path)
+    except ConfigError:
+        pass

@@ -6,6 +6,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from rdslab import (
@@ -21,11 +23,13 @@ from rdslab import (
     SsOptions,
     export_csv,
     generate_network,
+    load_replication_csv,
     paired_difference_test,
     run_condition,
     run_replication,
     summarize,
 )
+from rdslab.estimators import ESTIMATOR_NAMES
 from rdslab.harness import derive_rep_seeds
 
 SMALL = Condition(
@@ -47,6 +51,34 @@ def single_column_table(label, values, realized=10):
         for i, v in enumerate(values)
     ]
     return ReplicationTable(label, 0, rows)
+
+
+@st.composite
+def estimate_sets(draw):
+    estimates = EstimateSet(sh_equal_one=draw(st.booleans()), h_equal_one=draw(st.booleans()))
+    for name in ESTIMATOR_NAMES:
+        # Ten significant digits round values next to the largest double up
+        # past it, so they would read back as infinity; estimates are shares.
+        value = draw(st.none() | st.floats(-1e308, 1e308))
+        if value is None:
+            estimates.failures[name] = draw(st.text("abcdefghij_", min_size=1, max_size=8))
+        else:
+            setattr(estimates, name, value)
+    return estimates
+
+
+replication_tables = st.builds(
+    ReplicationTable,
+    label=st.text("abcXYZ019_-. ", min_size=1, max_size=8),
+    base_seed=st.just(0),
+    rows=st.lists(st.builds(
+        ReplicationRow,
+        replication=st.integers(0, 10**6),
+        estimates=estimate_sets(),
+        realized_n=st.integers(0, 10**4),
+        reseeds=st.integers(0, 100),
+    ), min_size=1, max_size=8),
+)
 
 
 class TestSeedDerivation:
@@ -237,6 +269,13 @@ class TestCsvExport:
         export_csv(demo_table, a)
         export_csv(shuffled, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @given(table=replication_tables)
+    def test_load_is_inverse_of_export(self, tmp_path_factory, table):
+        folder = tmp_path_factory.mktemp("csv")
+        export_csv(table, folder / "a.csv")
+        export_csv(load_replication_csv(folder / "a.csv"), folder / "b.csv")
+        assert (folder / "a.csv").read_bytes() == (folder / "b.csv").read_bytes()
 
     def test_unknown_object_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdslab import (
     ConfigError,
@@ -18,6 +20,15 @@ from rdslab import (
 from rdslab.netgen import expected_group_degrees
 
 DEFAULT = NetworkSpec()
+
+
+@st.composite
+def networks(draw):
+    n = draw(st.integers(0, 25))
+    infected = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=60))
+    return Network(np.array(infected, dtype=bool), np.array(pairs, dtype=np.int64))
 
 
 class TestSolveBlockProbabilities:
@@ -186,6 +197,14 @@ class TestSerialization:
         assert back.n_nodes == 5
         assert back.degrees.tolist() == [1, 1, 0, 0, 0]
 
+    @given(net=networks())
+    def test_round_trip_any_network(self, tmp_path_factory, net):
+        path = tmp_path_factory.mktemp("net") / "net.txt"
+        save_network(net, path)
+        back = load_network(path)
+        assert back == net
+        assert back.degrees.tolist() == net.degrees.tolist()
+
     def test_malformed_files_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("5\n\n0 1\n")
@@ -205,7 +224,7 @@ class TestSerialization:
     def test_non_integer_tokens_name_the_line(self, tmp_path, text, lineno):
         path = tmp_path / "bad.txt"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=f"bad.txt:{lineno}: expected integers"):
+        with pytest.raises(ConfigError, match=f"bad.txt:{lineno} must be an integer"):
             load_network(path)
 
     def test_negative_node_count_rejected(self, tmp_path):

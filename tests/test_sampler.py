@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from rdslab import (
     BehaviorConfig,
     ConfigError,
+    EventCounts,
     Network,
+    RespondentRecord,
     NetworkSpec,
     Sample,
     SamplingConfig,
@@ -345,6 +349,25 @@ class TestSampleSerialization:
         path = tmp_path / "sample.txt"
         save_sample(s, path)
         assert load_sample(path).exhausted
+
+    @given(
+        records=st.lists(st.builds(
+            RespondentRecord,
+            node_id=st.integers(0, 10**6),
+            degree=st.integers(0, 100),
+            infected=st.booleans(),
+            recruiter_id=st.none() | st.integers(0, 10**6),
+            wave=st.integers(0, 50),
+            reseed=st.booleans(),
+        ), max_size=20),
+        counts=st.builds(EventCounts, *[st.integers(0, 10**4)] * 4),
+        exhausted=st.booleans(),
+    )
+    def test_round_trip_any_sample(self, tmp_path_factory, records, counts, exhausted):
+        path = tmp_path_factory.mktemp("sample") / "sample.txt"
+        save_sample(Sample(records, counts, exhausted), path)
+        back = load_sample(path)
+        assert (back.records, back.counts, back.exhausted) == (records, counts, exhausted)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
