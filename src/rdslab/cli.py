@@ -30,6 +30,7 @@ from .harness import (
     Condition,
     ReplicationRow,
     ReplicationTable,
+    check_label,
     csv_lines,
     export_csv,
     load_replication_csv,
@@ -56,6 +57,7 @@ class RunConfig:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_label(self.label)
         if self.mean_cell_size < 1:
             raise ConfigError(f"estimation.mean_cell_size must be >= 1, got {self.mean_cell_size}")
         if self.replications < 1:

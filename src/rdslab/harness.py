@@ -40,6 +40,7 @@ __all__ = [
     "run_condition",
     "summarize",
     "paired_difference_test",
+    "check_label",
     "csv_lines",
     "export_csv",
     "load_replication_csv",
@@ -73,6 +74,14 @@ SUMMARY_COLUMNS = (
 MISSING = "NA"
 
 
+def check_label(label: str) -> None:
+    """Reject a label that `csv_lines` could not write as one bare CSV cell."""
+    if any(c in label for c in ',"\r\n'):
+        raise ConfigError(
+            f"label must not contain a comma, a double quote, CR or LF, got {label!r}"
+        )
+
+
 @dataclass(frozen=True)
 class Condition:
     """One experimental cell: everything needed to run its replications."""
@@ -88,6 +97,7 @@ class Condition:
     def __post_init__(self) -> None:
         if not self.label:
             raise ConfigError("condition label must be nonempty")
+        check_label(self.label)
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
 

@@ -17,6 +17,7 @@ Networks serialize to a plain edge-list text format, see `save_network`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,11 @@ __all__ = [
     "network_summary",
     "save_network",
     "load_network",
+    "MAX_NODES",
 ]
+
+#: Largest node count a spec or a network file may declare.
+MAX_NODES = 10**7
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,8 @@ class NetworkSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 2:
-            raise ConfigError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if not 2 <= self.n_nodes <= MAX_NODES:
+            raise ConfigError(f"n_nodes must lie in [2, {MAX_NODES}], got {self.n_nodes}")
         if not 0 < self.n_infected < self.n_nodes:
             raise ConfigError(
                 f"n_infected must lie strictly between 0 and n_nodes, got {self.n_infected}"
@@ -78,6 +83,20 @@ class BlockProbabilities:
     uninfected_uninfected: float
 
 
+class _Neighbors(Sequence):
+    """Read-only ``view[i]``: node i's ascending neighbor list, read off the CSR arrays."""
+
+    def __init__(self, net: Network):
+        self.net = net
+
+    def __len__(self) -> int:
+        return self.net.n_nodes
+
+    def __getitem__(self, i) -> list[int]:
+        i = range(len(self))[i]
+        return self.net.indices[self.net.indptr[i] : self.net.indptr[i + 1]].tolist()
+
+
 class Network:
     """Undirected simple graph over nodes ``0 .. n_nodes - 1``.
 
@@ -88,34 +107,36 @@ class Network:
     edges : ndarray of int, shape (n_edges, 2)
         Canonical edge list, each row ``(u, v)`` with ``u < v``, sorted.
     degrees : ndarray of int, shape (n_nodes,)
-    neighbors : list of list of int
-        Adjacency, each neighbor list ascending.
+    indptr, indices : ndarray of int
+        CSR adjacency: node i's neighbors are ``indices[indptr[i]:indptr[i + 1]]``, ascending.
+    neighbors : sequence of list of int
+        Read-only view of the same adjacency, one ascending list per node.
     """
 
-    __slots__ = ("infected", "edges", "degrees", "neighbors")
+    __slots__ = ("infected", "edges", "degrees", "indptr", "indices")
 
     def __init__(self, infected: np.ndarray, edges: np.ndarray):
         infected = np.asarray(infected, dtype=bool)
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         n = infected.shape[0]
-        if edges.size:
-            if edges.min() < 0 or edges.max() >= n:
-                raise ConfigError("edge endpoint out of range")
-            if (edges[:, 0] == edges[:, 1]).any():
-                raise ConfigError("self loops are not allowed")
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            edges = np.unique(np.column_stack([lo, hi]), axis=0)
+        if edges.size and (edges.min() < 0 or edges.max() >= n):
+            raise ConfigError("edge endpoint out of range")
+        if (edges[:, 0] == edges[:, 1]).any():
+            raise ConfigError("self loops are not allowed")
+        # One sort of the keys ``src * n + dst`` of both directions gives the
+        # deduplicated CSR rows; their ``src < dst`` half is the edge list.
+        u, v = edges[:, 0], edges[:, 1]
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        src, dst = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
         self.infected = infected
-        self.edges = edges
-        self.degrees = np.bincount(edges.ravel(), minlength=n).astype(np.int64)
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges.tolist():
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        for lst in neighbors:
-            lst.sort()
-        self.neighbors = neighbors
+        self.edges = np.column_stack([src[src < dst], dst[src < dst]])
+        self.degrees = np.bincount(src, minlength=n)
+        self.indptr = np.concatenate([[0], np.cumsum(self.degrees)])
+        self.indices = dst
+
+    @property
+    def neighbors(self) -> _Neighbors:
+        return _Neighbors(self)
 
     @property
     def n_nodes(self) -> int:
@@ -128,11 +149,8 @@ class Network:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
-        return (
-            self.infected.shape == other.infected.shape
-            and bool((self.infected == other.infected).all())
-            and self.edges.shape == other.edges.shape
-            and bool((self.edges == other.edges).all())
+        return np.array_equal(self.infected, other.infected) and np.array_equal(
+            self.edges, other.edges
         )
 
 
@@ -201,35 +219,55 @@ def solve_block_probabilities(spec: NetworkSpec) -> BlockProbabilities:
     return BlockProbabilities(p_aa, p_ab, p_bb)
 
 
-def _bernoulli_edges(rng: np.random.Generator, us: np.ndarray, vs: np.ndarray, p: float):
-    keep = rng.random(us.shape[0]) < p
-    return us[keep], vs[keep]
+def _skip_sample(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
+    """Ascending indices in ``[0, m)``, each kept independently with probability ``p``.
+
+    The gaps between kept indices are geometric (Batagelj & Brandes 2005), so
+    the cost is O(kept).  Positions add up in float64, where the huge gaps of
+    a tiny ``p`` cannot overflow, exactly below 2**53 (no block reaches that).
+    """
+    parts, last = [np.zeros(0)], -1.0
+    while p > 0.0 and last < m - 1:
+        # Enough gaps to reach the end of the block in one draw almost always.
+        mean = (m - 1 - last) * p
+        gaps = rng.geometric(p, size=int(mean + 4.0 * np.sqrt(mean)) + 16)
+        parts.append(last + np.cumsum(gaps, dtype=np.float64))
+        last = parts[-1][-1]
+    kept = np.concatenate(parts)
+    return kept[kept < m].astype(np.int64)
+
+
+def _triangle_pairs(k: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, col)`` of row-major indices ``k`` into the strict upper triangle of ``s x s``.
+
+    Row ``i`` starts at ``i (2s - 1 - i) / 2``; the float inverse of that can
+    land a row off once ``sqrt`` rounds, so integers correct it by one.
+    """
+    b = 2 * s - 1
+    i = np.floor((b - np.sqrt(b * b - 8.0 * k)) / 2).astype(np.int64)
+    i -= i * (b - i) // 2 > k
+    i += (i + 1) * (b - i - 1) // 2 <= k
+    return i, k - i * (b - i) // 2 + i + 1
 
 
 def generate_network(spec: NetworkSpec) -> Network:
     """Draw one network from the spec.
 
     Every unordered node pair receives an independent Bernoulli edge with the
-    probability of its block.  Nodes ``0 .. n_infected - 1`` are infected.
-    Deterministic given ``spec.rng_seed``.
+    probability of its block, skip-sampled block by block in O(N + E) time.
+    Nodes ``0 .. n_infected - 1`` are infected.  Deterministic given
+    ``spec.rng_seed``.
     """
-    probs = solve_block_probabilities(spec)
+    p = solve_block_probabilities(spec)
     rng = np.random.default_rng(spec.rng_seed)
     n, n_a = spec.n_nodes, spec.n_infected
-    infected = np.zeros(n, dtype=bool)
-    infected[:n_a] = True
-
-    chunks = []
-    iu, iv = np.triu_indices(n_a, k=1)
-    chunks.append(_bernoulli_edges(rng, iu, iv, probs.infected_infected))
-    cu, cv = np.meshgrid(np.arange(n_a), np.arange(n_a, n), indexing="ij")
-    chunks.append(_bernoulli_edges(rng, cu.ravel(), cv.ravel(), probs.cross))
-    bu, bv = np.triu_indices(n - n_a, k=1)
-    chunks.append(
-        _bernoulli_edges(rng, bu + n_a, bv + n_a, probs.uninfected_uninfected)
-    )
-    us = np.concatenate([c[0] for c in chunks])
-    vs = np.concatenate([c[1] for c in chunks])
+    n_b = n - n_a
+    infected = np.arange(n) < n_a
+    iu, iv = _triangle_pairs(_skip_sample(rng, n_a * (n_a - 1) // 2, p.infected_infected), n_a)
+    cu, cv = np.divmod(_skip_sample(rng, n_a * n_b, p.cross), n_b)
+    bu, bv = _triangle_pairs(_skip_sample(rng, n_b * (n_b - 1) // 2, p.uninfected_uninfected), n_b)
+    us = np.concatenate([iu, cu, bu + n_a])
+    vs = np.concatenate([iv, cv + n_a, bv + n_a])
     return Network(infected, np.column_stack([us, vs]))
 
 
@@ -244,8 +282,7 @@ def network_summary(net: Network) -> NetworkStats:
     da: float | None = None
     if n_a and n_b and mean_b > 0:
         da = mean_a / mean_b
-    u_inf = inf[net.edges[:, 0]] if net.edges.size else np.zeros(0, dtype=bool)
-    v_inf = inf[net.edges[:, 1]] if net.edges.size else np.zeros(0, dtype=bool)
+    u_inf, v_inf = inf[net.edges].T
     return NetworkStats(
         n_nodes=net.n_nodes,
         n_infected=n_a,
@@ -282,8 +319,8 @@ def load_network(path) -> Network:
     if len(header.split()) != 2:
         raise ConfigError(f"{path}: malformed header, expected 'n_nodes n_infected'")
     n, n_a = (as_int(tok, f"{path}:1") for tok in header.split())
-    if n < 0:
-        raise ConfigError(f"{path}:1: node count must be >= 0, got {n}")
+    if not 0 <= n <= MAX_NODES:
+        raise ConfigError(f"{path}:1: node count must lie in [0, {MAX_NODES}], got {n}")
     ids = [as_int(tok, f"{path}:2") for tok in id_line.split()]
     if len(ids) != n_a:
         raise ConfigError(f"{path}: header declares {n_a} infected ids, found {len(ids)}")
@@ -305,5 +342,4 @@ def load_network(path) -> Network:
         if not (0 <= u < n and 0 <= v < n):
             raise ConfigError(f"{path}:{lineno}: edge endpoint out of range")
         edges.append((u, v))
-    edge_arr = np.array(edges, dtype=np.int64) if edges else np.zeros((0, 2), dtype=np.int64)
-    return Network(infected, edge_arr)
+    return Network(infected, np.array(edges, dtype=np.int64))

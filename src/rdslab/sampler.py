@@ -372,7 +372,8 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             enroll(node, None, 0, True)
             continue
         holder = queue.popleft()
-        eligible = [v for v in net.neighbors[holder] if state[v] == _UNTOUCHED]
+        nb = net.indices[net.indptr[holder] : net.indptr[holder + 1]]
+        eligible = nb[state[nb] == _UNTOUCHED].tolist()
         if not eligible:
             expired += 1
             continue

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -226,6 +227,44 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "config"
         assert f"{net}:3" in payload["message"]
+
+    def test_oversized_network_header_is_one_json_line(self, tmp_path, capsys):
+        # A 15-byte file declaring a billion nodes is refused before any
+        # per-node array is allocated.
+        net = tmp_path / "net.txt"
+        net.write_text("1000000000 1\n0\n")
+        argv = ["sample", "--network", str(net), "--out", str(tmp_path / "s.txt")]
+        assert dispatch(argv) == 1  # warm up imports outside the traced call
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = dispatch(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert peak < 2**20
+        err = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(err[-1])
+        assert payload["error"] == "config"
+        assert f"{net}:1" in payload["message"]
+        assert not any("Traceback" in line for line in err)
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb"])
+    def test_csv_unsafe_label_is_one_json_line(self, tmp_path, capsys, label):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"label: {json.dumps(label)}\n" + BASE_YAML.split("\n", 1)[1])
+        for argv in (["experiment", "--config", str(cfg), "--out", str(tmp_path / "x")],
+                     ["gen", "--config", str(cfg), "--out", str(tmp_path / "n.txt")]):
+            assert dispatch(argv) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1
+            payload = json.loads(err[0])
+            assert payload["error"] == "config"
+            assert "label" in payload["message"]
+        assert not (tmp_path / "x_replications.csv").exists()
+        with pytest.raises(ConfigError, match="label"):
+            Condition(label=label)
 
     @pytest.mark.parametrize(
         "rows,lineno", [("0 5 x 1 -1 0 0\n", 2), ("0 5 3 1 -1 0 0\n# exhausted yes\n", 3)]

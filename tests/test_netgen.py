@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,13 +14,15 @@ from rdslab import (
     ConfigError,
     Network,
     NetworkSpec,
+    SamplingConfig,
     generate_network,
     load_network,
     network_summary,
+    run_rds,
     save_network,
     solve_block_probabilities,
 )
-from rdslab.netgen import expected_group_degrees
+from rdslab.netgen import MAX_NODES, _triangle_pairs, expected_group_degrees
 
 DEFAULT = NetworkSpec()
 
@@ -106,6 +111,33 @@ class TestSolveBlockProbabilities:
         with pytest.raises(ConfigError):
             NetworkSpec(**kwargs)
 
+    def test_node_count_bounded(self):
+        NetworkSpec(n_nodes=MAX_NODES)
+        with pytest.raises(ConfigError, match="n_nodes"):
+            NetworkSpec(n_nodes=MAX_NODES + 1)
+
+
+class TestPairMapping:
+    @pytest.mark.parametrize("s", range(2, 61))
+    def test_matches_triu_indices(self, s):
+        rows, cols = _triangle_pairs(np.arange(s * (s - 1) // 2), s)
+        want_rows, want_cols = np.triu_indices(s, k=1)
+        assert rows.tolist() == want_rows.tolist()
+        assert cols.tolist() == want_cols.tolist()
+
+    def test_row_ends_exact_at_large_block(self):
+        # The first and last pair of each of the last 2000 rows, where the
+        # float inverse works on the largest indices.
+        s = 2**20 + 3
+        rows = np.arange(s - 2001, s - 1, dtype=np.int64)
+        first = rows * (2 * s - 1 - rows) // 2
+        last = first + (s - 2 - rows)
+        assert int(last[-1]) == s * (s - 1) // 2 - 1
+        for k, want_cols in [(first, rows + 1), (last, np.full_like(rows, s - 1))]:
+            got_rows, got_cols = _triangle_pairs(k, s)
+            assert got_rows.tolist() == rows.tolist()
+            assert got_cols.tolist() == want_cols.tolist()
+
 
 class TestGenerateNetwork:
     def test_deterministic_given_seed(self):
@@ -148,6 +180,41 @@ class TestGenerateNetwork:
             assert abs(totals[block] - expect) < 3 * spread, block
         assert abs(degree_sum / reps - 7.0) < 0.2
 
+    def test_per_pair_marginals(self):
+        # Every one of the 15 pairs, the first and last of each block
+        # included, carries an edge at its block probability (2/3, 1/3, 4/9).
+        spec = NetworkSpec(n_nodes=6, n_infected=2, mean_degree=2.0, homophily_ratio=2.0)
+        p = solve_block_probabilities(spec)
+        assert (p.infected_infected, p.cross, p.uninfected_uninfected) == pytest.approx(
+            (2 / 3, 1 / 3, 4 / 9)
+        )
+        block = {2: p.infected_infected, 1: p.cross, 0: p.uninfected_uninfected}
+        reps = 4000
+        counts = np.zeros((6, 6))
+        for seed in range(reps):
+            edges = generate_network(dataclasses.replace(spec, rng_seed=seed)).edges
+            counts[edges[:, 0], edges[:, 1]] += 1
+        for u in range(6):
+            for v in range(u + 1, 6):
+                prob = block[int(u < 2) + int(v < 2)]
+                spread = np.sqrt(prob * (1 - prob) / reps)
+                assert abs(counts[u, v] / reps - prob) < 4 * spread, (u, v)
+        assert counts[np.tril_indices(6)].sum() == 0
+
+    def test_memory_linear_in_edges(self):
+        # N = 100k has 5e9 node pairs; generation must stay O(N + E).
+        spec = NetworkSpec(n_nodes=100_000, n_infected=20_000, rng_seed=5)
+        tracemalloc.start()
+        try:
+            net = generate_network(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert abs(network_summary(net).mean_degree - 7.0) < 0.1
+        sample = run_rds(net, SamplingConfig(target_n=20_000, rng_seed=5))
+        assert sample.size == 20_000
+
     def test_realized_differential_activity_near_spec(self):
         stats = network_summary(generate_network(NetworkSpec(rng_seed=11)))
         assert stats.differential_activity == pytest.approx(1.0, rel=0.15)
@@ -170,6 +237,31 @@ class TestNetworkType:
         assert net.edges.tolist() == [[0, 1], [0, 2]]
         assert net.degrees.tolist() == [2, 1, 1]
         assert net.neighbors[0] == [1, 2]
+
+    @given(net=networks())
+    def test_csr_matches_reference_adjacency(self, net):
+        # Reference: per-node Python lists built edge by edge, then sorted.
+        reference = [[] for _ in range(net.n_nodes)]
+        for u, v in net.edges.tolist():
+            reference[u].append(v)
+            reference[v].append(u)
+        assert [sorted(lst) for lst in reference] == list(net.neighbors)
+        assert net.indptr.tolist() == [0, *np.cumsum(net.degrees).tolist()]
+        for i in range(net.n_nodes):
+            assert net.indices[net.indptr[i] : net.indptr[i + 1]].tolist() == net.neighbors[i]
+
+    def test_neighbors_view_indexing(self):
+        net = Network(np.zeros(4, dtype=bool), np.array([[3, 1], [1, 0]]))
+        assert len(net.neighbors) == 4
+        assert net.neighbors[np.int64(1)] == [0, 3]
+        assert net.neighbors[-1] == [1]
+        assert 3 in net.neighbors[1]
+        with pytest.raises(IndexError):
+            net.neighbors[4]
+        with pytest.raises(TypeError):
+            net.neighbors[0] = [2]
+        net.neighbors[1].append(2)  # a fresh list; the network is unchanged
+        assert net.neighbors[1] == [0, 3]
 
     def test_summary_flags_undefined_differential_activity(self):
         # All edges among the infected: uninfected mean degree is zero.
@@ -231,4 +323,10 @@ class TestSerialization:
         path = tmp_path / "bad.txt"
         path.write_text("-1 0\n\n")
         with pytest.raises(ConfigError, match="node count"):
+            load_network(path)
+
+    def test_oversized_node_count_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{MAX_NODES + 1} 1\n0\n")
+        with pytest.raises(ConfigError, match=f"bad.txt:1: node count"):
             load_network(path)
