@@ -613,9 +613,8 @@ def degree_group_transition_matrix(
     if not pairs:
         raise EstimationError("sample contains no recruitments", code=NO_RECRUITMENT_EVENTS)
     k = groups.n_groups
-    counts = np.zeros((k, k), dtype=np.float64)
-    for j, i in pairs:
-        counts[groups.group_index[j], groups.group_index[i]] += 1.0
+    recruiter, recruit = groups.group_index[np.array(pairs).T]
+    counts = np.bincount(recruiter * k + recruit, minlength=k * k).reshape(k, k).astype(np.float64)
     marginal = counts.sum(axis=0) / counts.sum()
     patched = False
     matrix = np.empty_like(counts)

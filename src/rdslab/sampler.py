@@ -23,11 +23,25 @@ with ``exhausted`` set.
 All behavioral deviations are identity by default, giving the classical
 process where every coupon is passed, recruits are chosen uniformly among
 eligible neighbors, and everybody responds.
+
+`run_rds` resolves coupons from Python lists built once per call (`_Tables`):
+each node's degree and group, the pass and response probabilities by group
+and degree, and the factors of `recruitment_weight`.  Its uniforms come in
+blocks (`_Uniforms`), so the per-coupon loop makes no numpy call beyond
+slicing the holder's adjacency row.  When every weight factor is 1 it picks
+``eligible[int(u * k)]``, which is the candidate the cumulative walk over k
+unit weights would reach.  Either way the random draws (pass, pick,
+response, reseed) come in the same order and number, so a seed gives the
+sample that a loop calling ``rng.random()`` and `recruitment_weight` for
+each candidate would draw.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
+from itertools import chain
+from operator import length_hint
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
@@ -142,20 +156,25 @@ class BehaviorConfig:
     response_degree_ramp: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
+        # A weight of inf or nan makes the draw's total non-finite, so no
+        # candidate but the last could ever be picked.
         for name in ("own_group_weight_uninfected", "own_group_weight_infected",
                      "infected_candidate_weight"):
-            if not getattr(self, name) >= 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        # An infinite width is allowed: its kernel is exactly 1.
         if self.similar_degree_width is not None and not self.similar_degree_width > 0:
             raise ConfigError(
                 f"similar_degree_width must be > 0, got {self.similar_degree_width}"
             )
-        if self.candidate_degree_ramp is not None:
-            lo, hi = self.candidate_degree_ramp
-            if lo < 0 or hi < 0:
-                raise ConfigError(
-                    f"candidate_degree_ramp values must be >= 0, got {self.candidate_degree_ramp}"
-                )
+        if self.candidate_degree_ramp is not None and not all(
+            math.isfinite(v) and v >= 0 for v in self.candidate_degree_ramp
+        ):
+            raise ConfigError(
+                "candidate_degree_ramp values must be finite and >= 0, "
+                f"got {self.candidate_degree_ramp}"
+            )
         for name in ("pass_prob_uninfected", "pass_prob_infected",
                      "response_prob_uninfected", "response_prob_infected"):
             value = getattr(self, name)
@@ -246,18 +265,9 @@ def _degree_ramp(degree: int, low: float, high: float) -> float:
     return low + (degree - _RAMP_LOW_DEGREE) * (high - low) / span
 
 
-def recruitment_weight(
-    net: Network, behavior: BehaviorConfig, recruiter: int, candidate: int
-) -> float:
-    """Relative preference of ``recruiter`` for ``candidate``.
-
-    The product of the own-group factor (keyed by the recruiter's group),
-    the infected-candidate factor, the similar-degree kernel, and the
-    candidate-degree ramp; absent factors are 1.
-    """
+def _group_factor(behavior: BehaviorConfig, r_inf: bool, c_inf: bool) -> float:
+    """Own-group factor times infected-candidate factor, in that order."""
     w = 1.0
-    r_inf = bool(net.infected[recruiter])
-    c_inf = bool(net.infected[candidate])
     if r_inf == c_inf:
         w *= (
             behavior.own_group_weight_infected
@@ -266,6 +276,19 @@ def recruitment_weight(
         )
     if c_inf:
         w *= behavior.infected_candidate_weight
+    return w
+
+
+def recruitment_weight(
+    net: Network, behavior: BehaviorConfig, recruiter: int, candidate: int
+) -> float:
+    """Relative preference of ``recruiter`` for ``candidate``.
+
+    The product of the own-group factor (keyed by the recruiter's group),
+    the infected-candidate factor, the similar-degree kernel, and the
+    candidate-degree ramp, multiplied in that order; absent factors are 1.
+    """
+    w = _group_factor(behavior, bool(net.infected[recruiter]), bool(net.infected[candidate]))
     if behavior.similar_degree_width is not None:
         gap = abs(int(net.degrees[recruiter]) - int(net.degrees[candidate]))
         w *= max(_KERNEL_FLOOR, 1.0 - gap / behavior.similar_degree_width)
@@ -321,15 +344,102 @@ def select_seeds(
     return _draw_seeds(net, rule, count, rng, np.ones(net.n_nodes, dtype=bool))
 
 
+# Node states; untouched is 0 so a fresh bytearray starts all untouched.
 _UNTOUCHED, _SAMPLED, _REFUSED = 0, 1, 2
+
+
+class _Tables:
+    """Behaviour factors of one `run_rds` call, as Python lists.
+
+    ``pass_prob[g][d]`` and ``response_prob[g][d]`` are the group-``g``
+    probability times the degree-``d`` ramp.  The recruitment weight of
+    candidate ``v`` for holder ``h`` is
+    ``group[infected[h]][infected[v]] * kernel[|d_h - d_v|] * ramp[v]``: the
+    factors of `recruitment_weight` in its order, with an absent factor
+    tabulated as 1.0, which multiplies exactly.  ``uniform`` is set when
+    every weight is 1; ``ramp`` is then not built, since no weight is read.
+    """
+
+    def __init__(self, net: Network, b: BehaviorConfig) -> None:
+        self.degrees: list[int] = net.degrees.tolist()
+        self.infected: list[bool] = net.infected.tolist()
+        degree_range = range(int(net.degrees.max(initial=0)) + 1)
+
+        def by_group_degree(uninfected: float, infected: float, ramp) -> list[list[float]]:
+            ramps = [_degree_ramp(d, *ramp) for d in degree_range]
+            return [[p * r for r in ramps] for p in (uninfected, infected)]
+
+        self.pass_prob = by_group_degree(
+            b.pass_prob_uninfected, b.pass_prob_infected, b.pass_degree_ramp
+        )
+        self.response_prob = by_group_degree(
+            b.response_prob_uninfected, b.response_prob_infected, b.response_degree_ramp
+        )
+        self.group = [[_group_factor(b, r, c) for c in (False, True)] for r in (False, True)]
+        # No kernel is the infinitely wide one, which is exactly 1.
+        width = b.similar_degree_width or math.inf
+        self.kernel = [max(_KERNEL_FLOOR, 1.0 - gap / width) for gap in degree_range]
+        lo, hi = b.candidate_degree_ramp or (1.0, 1.0)
+        ramps = [_degree_ramp(d, lo, hi) for d in degree_range]
+        self.uniform = all(
+            w == 1.0 for w in (*ramps, *self.kernel, *self.group[0], *self.group[1])
+        )
+        self.ramp: Optional[list[float]] = (
+            None if self.uniform else [ramps[d] for d in self.degrees]
+        )
+
+    def weights(self, holder: int, candidates: list[int]) -> list[float]:
+        infected, degrees, kernel, ramp = self.infected, self.degrees, self.kernel, self.ramp
+        gw = self.group[infected[holder]]
+        dh = degrees[holder]
+        return [gw[infected[v]] * kernel[abs(dh - degrees[v])] * ramp[v] for v in candidates]
+
+
+class _Uniforms:
+    """The values of successive ``rng.random()`` calls, drawn in blocks.
+
+    ``rng.random(k)`` gives the doubles that k scalar calls would give, one
+    bit-generator output each, so the values and their order are unchanged;
+    ``next`` just costs a list step instead of a numpy call.  Before anything
+    else draws from ``rng``, `sync` rewinds it to just after the values
+    handed out so far.
+    """
+
+    _BLOCK = 128
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self._rng = rng
+        self._state: Optional[dict] = None
+        self._current = iter(())
+        self.next = chain.from_iterable(self._blocks()).__next__
+
+    def _blocks(self):
+        while True:
+            self._state = self._rng.bit_generator.state
+            self._current = iter(self._rng.random(self._BLOCK).tolist())
+            yield self._current
+
+    def sync(self) -> None:
+        unused = length_hint(self._current)
+        if unused:
+            self._rng.bit_generator.state = self._state
+            self._rng.random(self._BLOCK - unused)
+            deque(self._current, maxlen=0)
 
 
 def run_rds(net: Network, config: SamplingConfig) -> Sample:
     """Run one referral sample; deterministic given ``config.rng_seed``."""
     rng = np.random.default_rng(config.rng_seed)
-    b = config.behavior
-    state = np.zeros(net.n_nodes, dtype=np.int8)
-    wave_of = np.zeros(net.n_nodes, dtype=np.int64)
+    uniforms = _Uniforms(rng)
+    random = uniforms.next
+    tables = _Tables(net, config.behavior)
+    degrees, infected = tables.degrees, tables.infected
+    pass_prob, response_prob = tables.pass_prob, tables.response_prob
+    uniform, weights_of = tables.uniform, tables.weights
+    indptr, indices = net.indptr, net.indices
+    coupons, target_n = config.coupons_per_respondent, config.target_n
+    state = bytearray(net.n_nodes)
+    wave_of = [0] * net.n_nodes
     records: list[RespondentRecord] = []
     queue: deque[int] = deque()
     issued = used = expired = nonresp = 0
@@ -341,69 +451,67 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
         records.append(
             RespondentRecord(
                 node_id=node,
-                degree=int(net.degrees[node]),
-                infected=bool(net.infected[node]),
+                degree=degrees[node],
+                infected=infected[node],
                 recruiter_id=recruiter,
                 wave=wave,
                 reseed=reseed,
             )
         )
-        issued += config.coupons_per_respondent
-        queue.extend([node] * config.coupons_per_respondent)
+        issued += coupons
+        queue.extend([node] * coupons)
 
     exhausted = False
     for node in select_seeds(net, config.seed_rule, config.n_seeds, rng):
         enroll(node, None, 0, False)
-        if len(records) >= config.target_n:
+        if len(records) >= target_n:
             break
 
-    while len(records) < config.target_n:
+    while len(records) < target_n:
         if not queue:
             if not config.reseed_on_die_out:
                 exhausted = True
                 break
+            untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
+            uniforms.sync()
             try:
-                node = _draw_seeds(
-                    net, config.seed_rule, 1, rng, state == _UNTOUCHED
-                )[0]
+                node = _draw_seeds(net, config.seed_rule, 1, rng, untouched)[0]
             except SamplingError:
                 exhausted = True
                 break
             enroll(node, None, 0, True)
             continue
         holder = queue.popleft()
-        nb = net.indices[net.indptr[holder] : net.indptr[holder + 1]]
-        eligible = nb[state[nb] == _UNTOUCHED].tolist()
+        eligible = [
+            v for v in indices[indptr[holder] : indptr[holder + 1]].tolist() if not state[v]
+        ]
         if not eligible:
             expired += 1
             continue
-        holder_inf = bool(net.infected[holder])
-        pass_prob = (
-            b.pass_prob_infected if holder_inf else b.pass_prob_uninfected
-        ) * _degree_ramp(int(net.degrees[holder]), *b.pass_degree_ramp)
-        if rng.random() >= pass_prob:
+        if random() >= pass_prob[infected[holder]][degrees[holder]]:
             expired += 1
             continue
-        weights = [recruitment_weight(net, b, holder, v) for v in eligible]
-        total = sum(weights)
-        if total <= 0.0:
-            expired += 1
-            continue
-        r = rng.random() * total
-        acc = 0.0
-        chosen = eligible[-1]
-        for v, w in zip(eligible, weights):
-            acc += w
-            if r < acc:
-                chosen = v
-                break
-        chosen_inf = bool(net.infected[chosen])
-        response_prob = (
-            b.response_prob_infected if chosen_inf else b.response_prob_uninfected
-        ) * _degree_ramp(int(net.degrees[chosen]), *b.response_degree_ramp)
-        if rng.random() < response_prob:
+        if uniform:
+            # Running sums of 1.0 are exact integers, so the cumulative walk
+            # below would stop at index int(u * k).
+            chosen = eligible[int(random() * len(eligible))]
+        else:
+            weights = weights_of(holder, eligible)
+            total = sum(weights)
+            if total <= 0.0:
+                expired += 1
+                continue
+            r = random() * total
+            acc = 0.0
+            chosen = eligible[-1]
+            for v, w in zip(eligible, weights):
+                acc += w
+                if r < acc:
+                    chosen = v
+                    break
+        if random() < response_prob[infected[chosen]][degrees[chosen]]:
             used += 1
-            enroll(chosen, holder, int(wave_of[holder]) + 1, False)
+            enroll(chosen, holder, wave_of[holder] + 1, False)
         else:
             state[chosen] = _REFUSED
             nonresp += 1

@@ -27,7 +27,7 @@ from rdslab import (
     save_network,
     save_sample,
 )
-from rdslab.cli import dispatch, parse_config
+from rdslab.cli import dispatch, parse_config, read_config
 from rdslab.harness import REPLICATION_COLUMNS
 
 BASE_YAML = """\
@@ -265,6 +265,32 @@ class TestExitCodes:
         assert not (tmp_path / "x_replications.csv").exists()
         with pytest.raises(ConfigError, match="label"):
             Condition(label=label)
+
+    @pytest.mark.parametrize("field,value", [
+        ("own_group_weight_uninfected", ".inf"),
+        ("own_group_weight_infected", ".inf"),
+        ("infected_candidate_weight", ".inf"),
+        ("infected_candidate_weight", ".nan"),
+        ("candidate_degree_ramp", "[.nan, 1.0]"),
+        ("candidate_degree_ramp", "[1.0, .inf]"),
+    ])
+    def test_non_finite_weight_is_one_json_line(self, tmp_path, capsys, field, value):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(BASE_YAML.replace(
+            "  target_n: 50\n", f"  target_n: 50\n  behavior:\n    {field}: {value}\n"))
+        assert dispatch(["experiment", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "config"
+        assert field in payload["message"] and "finite" in payload["message"]
+
+    def test_infinite_degree_width_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(BASE_YAML.replace(
+            "  target_n: 50\n", "  target_n: 50\n  behavior:\n    similar_degree_width: .inf\n"))
+        assert read_config(str(cfg)).sampling.behavior.similar_degree_width == float("inf")
 
     @pytest.mark.parametrize(
         "rows,lineno", [("0 5 x 1 -1 0 0\n", 2), ("0 5 3 1 -1 0 0\n# exhausted yes\n", 3)]

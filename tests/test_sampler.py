@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,7 +28,7 @@ from rdslab import (
     save_sample,
     select_seeds,
 )
-from rdslab.sampler import _degree_ramp, _seed_pool
+from rdslab.sampler import _degree_ramp, _seed_pool, _Tables, _Uniforms
 
 
 def star_network(leaves: int = 9) -> Network:
@@ -138,10 +140,144 @@ class TestRecruitmentWeight:
             BehaviorConfig(own_group_weight_infected=-0.1)
         with pytest.raises(ConfigError):
             BehaviorConfig(similar_degree_width=0)
+        for bad in (float("inf"), float("nan")):
+            for name in ("own_group_weight_uninfected", "own_group_weight_infected",
+                         "infected_candidate_weight"):
+                with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                    BehaviorConfig(**{name: bad})
+            with pytest.raises(ConfigError, match="candidate_degree_ramp"):
+                BehaviorConfig(candidate_degree_ramp=(1.0, bad))
+            with pytest.raises(ConfigError, match="candidate_degree_ramp"):
+                BehaviorConfig(candidate_degree_ramp=(bad, 1.0))
+        with pytest.raises(ConfigError):
+            BehaviorConfig(similar_degree_width=float("nan"))
+        assert BehaviorConfig(similar_degree_width=float("inf")).similar_degree_width > 1e308
         with pytest.raises(ConfigError):
             SamplingConfig(n_seeds=10, target_n=5)
         with pytest.raises(ConfigError):
             SamplingConfig(coupons_per_respondent=-1)
+
+
+_weights = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 3.7]) | st.floats(0.0, 10.0)
+_probs = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def behaviors(draw) -> BehaviorConfig:
+    return BehaviorConfig(
+        own_group_weight_uninfected=draw(_weights),
+        own_group_weight_infected=draw(_weights),
+        infected_candidate_weight=draw(_weights),
+        similar_degree_width=draw(
+            st.none() | st.sampled_from([float("inf"), 1e-3, 4.0]) | st.floats(0.01, 50.0)
+        ),
+        candidate_degree_ramp=draw(st.none() | st.tuples(_weights, _weights)),
+        pass_prob_uninfected=draw(_probs),
+        pass_prob_infected=draw(_probs),
+        pass_degree_ramp=draw(st.tuples(_probs, _probs)),
+        response_prob_uninfected=draw(_probs),
+        response_prob_infected=draw(_probs),
+        response_degree_ramp=draw(st.tuples(_probs, _probs)),
+    )
+
+
+class TestBehaviorTables:
+    """The tables `run_rds` draws from against the per-call definitions."""
+
+    @given(
+        b=behaviors(),
+        net_seed=st.integers(0, 2**16),
+        mean_degree=st.sampled_from([2.0, 7.0, 15.0]),
+        data=st.data(),
+    )
+    def test_weights_equal_recruitment_weight(self, b, net_seed, mean_degree, data):
+        net = generate_network(NetworkSpec(
+            n_nodes=120, n_infected=30, mean_degree=mean_degree,
+            differential_activity=1.5, rng_seed=net_seed))
+        tables = _Tables(net, b)
+        holder = data.draw(st.integers(0, net.n_nodes - 1))
+        candidates = data.draw(st.lists(st.integers(0, net.n_nodes - 1), max_size=20))
+        candidates += net.neighbors[holder]
+        expected = [recruitment_weight(net, b, holder, v) for v in candidates]
+        if tables.uniform:
+            assert all(w == 1.0 for w in expected)
+        else:
+            assert tables.weights(holder, candidates) == expected
+        for node in (holder, *candidates):
+            d, inf = int(net.degrees[node]), bool(net.infected[node])
+            assert tables.pass_prob[inf][d] == (
+                b.pass_prob_infected if inf else b.pass_prob_uninfected
+            ) * _degree_ramp(d, *b.pass_degree_ramp)
+            assert tables.response_prob[inf][d] == (
+                b.response_prob_infected if inf else b.response_prob_uninfected
+            ) * _degree_ramp(d, *b.response_degree_ramp)
+
+    def test_identity_behavior_is_uniform(self):
+        net = generate_network(NetworkSpec(rng_seed=3))
+        assert _Tables(net, BehaviorConfig()).uniform
+        assert _Tables(net, BehaviorConfig(
+            similar_degree_width=float("inf"), candidate_degree_ramp=(1.0, 1.0))).uniform
+        assert not _Tables(net, BehaviorConfig(infected_candidate_weight=0.999)).uniform
+        assert not _Tables(net, BehaviorConfig(similar_degree_width=1e6)).uniform
+
+    @staticmethod
+    def _walk(u: float, k: int) -> int:
+        # The cumulative walk `run_rds` makes over k weights of 1.0.
+        weights = [1.0] * k
+        r = u * sum(weights)
+        acc = 0.0
+        for j, w in enumerate(weights):
+            acc += w
+            if r < acc:
+                return j
+        return k - 1
+
+    @given(
+        u=st.floats(0.0, 1.0, exclude_max=True)
+        | st.sampled_from([0.0, float(np.nextafter(1.0, 0.0)), 1.0 - 2**-52, 1.0 - 2**-40]),
+        k=st.integers(1, 5000) | st.sampled_from([1, 2, 3, 1024, 1025]),
+    )
+    def test_identity_pick_equals_walk(self, u, k):
+        assert int(u * k) == self._walk(u, k)
+
+    def test_identity_pick_next_to_one(self):
+        # u * k never rounds up to k for u < 1, so the pick is always a
+        # valid index: the last one, as the walk's fallback would give.
+        u = float(np.nextafter(1.0, 0.0))
+        for k in range(1, 2000):
+            assert int(u * k) == self._walk(u, k) == k - 1
+        for k in (2**20, 2**20 + 1, 10**6, 2**40 + 3, 2**52 - 1):
+            assert int(u * k) == k - 1
+
+
+class TestUniforms:
+    @given(
+        seed=st.integers(0, 2**32),
+        steps=st.lists(st.tuples(st.integers(0, 300), st.sampled_from(["u", "k"])), max_size=8),
+    )
+    def test_same_stream_as_scalar_calls(self, seed, steps):
+        # Blocks of draws, each followed by a sync and an outside draw of
+        # another kind, give the values scalar calls on one generator give.
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniforms = _Uniforms(rng)
+        for count, outside in steps:
+            assert [uniforms.next() for _ in range(count)] == [ref.random() for _ in range(count)]
+            uniforms.sync()
+            if outside == "u":
+                assert rng.random() == ref.random()
+            else:
+                assert (rng.choice(50, size=3, replace=False).tolist()
+                        == ref.choice(50, size=3, replace=False).tolist())
+        assert uniforms.next() == ref.random()
+
+    def test_sync_at_block_edges(self):
+        for count in (0, 1, _Uniforms._BLOCK - 1, _Uniforms._BLOCK, _Uniforms._BLOCK + 1):
+            rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+            uniforms = _Uniforms(rng)
+            drawn = [uniforms.next() for _ in range(count)]
+            uniforms.sync()
+            assert drawn == ref.random(count).tolist()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRunRds:
@@ -377,3 +513,161 @@ class TestSampleSerialization:
         path.write_text("not a header at all\n")
         with pytest.raises(ConfigError):
             load_sample(path)
+
+
+def _sample_sha256(net: Network, cfg: SamplingConfig, path) -> tuple[str, Sample]:
+    s = run_rds(net, cfg)
+    save_sample(s, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest(), s
+
+
+# Each case: network spec, sampling config, and the sha256 of `save_sample`
+# output for that run.  The digests were recorded from the straightforward
+# per-candidate loop (one `recruitment_weight` call per eligible neighbour,
+# cumulative walk over every weight); any rewrite of `run_rds` must keep
+# every digest, which pins the RNG draw order and count as well as the picks.
+_DESK_BEHAVIOR = BehaviorConfig(
+    pass_prob_uninfected=0.6,
+    pass_prob_infected=0.9,
+    response_prob_uninfected=0.8,
+    response_prob_infected=0.7,
+    similar_degree_width=4.0,
+    candidate_degree_ramp=(0.5, 2.0),
+)
+PINNED_SAMPLES = {
+    "identity_pps": (
+        NetworkSpec(differential_activity=1.8, rng_seed=21),
+        SamplingConfig(target_n=200, rng_seed=3),
+        "ecf1be2a1dc4ba3112b64db65b9d4fc1fe352ca7eba54b1e250809d7262be64b",
+    ),
+    "identity_pps_large": (
+        NetworkSpec(n_nodes=10000, n_infected=2000, differential_activity=1.8, rng_seed=22),
+        SamplingConfig(target_n=500, rng_seed=4),
+        "d689d8fd5f79c7c10c593f38dd4a80ba75db17600bdae38911c9f416c187d9ab",
+    ),
+    "desk_behavior": (
+        NetworkSpec(rng_seed=23),
+        SamplingConfig(target_n=500, behavior=_DESK_BEHAVIOR, rng_seed=5),
+        "c257dcc9f16c569da42d2f23a697ab4d51e689af1e570f2f896bb478b150220b",
+    ),
+    "desk_behavior_other_seed": (
+        NetworkSpec(rng_seed=24),
+        SamplingConfig(target_n=500, behavior=_DESK_BEHAVIOR, rng_seed=6),
+        "1ff50bd06c44741f3163021a883ad994ac4728c63784352277dddae659c2bb40",
+    ),
+    "group_weights": (
+        NetworkSpec(differential_activity=1.4, rng_seed=25),
+        SamplingConfig(target_n=300, rng_seed=7, behavior=BehaviorConfig(
+            own_group_weight_uninfected=0.4,
+            own_group_weight_infected=2.5,
+            infected_candidate_weight=1.7,
+        )),
+        "d0f7a80a7f53b52ba31a5023fe1c446f4c537c13abf0aa1401bc29777099c785",
+    ),
+    "zero_infected_weight": (
+        NetworkSpec(rng_seed=26),
+        SamplingConfig(target_n=300, rng_seed=8, behavior=BehaviorConfig(
+            infected_candidate_weight=0.0,
+        )),
+        "c04c60ac43757674d9662d2ddc3105bac30cc1f4ad1494cd0359cd5f3d87a9da",
+    ),
+    "zero_own_group_weights": (
+        NetworkSpec(rng_seed=27),
+        SamplingConfig(target_n=300, rng_seed=9, behavior=BehaviorConfig(
+            own_group_weight_uninfected=0.0,
+            own_group_weight_infected=0.0,
+            similar_degree_width=3.0,
+        )),
+        "08952c827e657daa0186f1c74f46311b8499d5f61f5d44eebb0b4017082f3244",
+    ),
+    "infinite_width_kernel": (
+        NetworkSpec(rng_seed=28),
+        SamplingConfig(target_n=250, rng_seed=10, behavior=BehaviorConfig(
+            similar_degree_width=float("inf"),
+            candidate_degree_ramp=(0.0, 3.0),
+        )),
+        "a5ac08fbdce0538a6f8a1d7e8eec6bcc256786a66a1e79cab1502931b92c35e0",
+    ),
+    "lowest_k_with_ramps": (
+        NetworkSpec(differential_activity=0.7, rng_seed=29),
+        SamplingConfig(
+            n_seeds=5,
+            seed_rule=SeedRule.uniform_lowest(40),
+            target_n=250,
+            rng_seed=11,
+            behavior=BehaviorConfig(
+                pass_degree_ramp=(0.4, 1.0),
+                response_degree_ramp=(1.0, 0.5),
+                pass_prob_infected=0.8,
+            ),
+        ),
+        "b909a6ef9c5ce0a0917207b31e4bacd4c73b7dd92edf8ab050b22b6ea210b8e4",
+    ),
+    "highest_k_candidate_ramp": (
+        NetworkSpec(rng_seed=30),
+        SamplingConfig(
+            n_seeds=4,
+            seed_rule=SeedRule.uniform_highest(30),
+            target_n=200,
+            rng_seed=12,
+            behavior=BehaviorConfig(candidate_degree_ramp=(2.0, 0.25)),
+        ),
+        "4b7c5f37c90bdedc8b6056d39a89f36b2845b92ab1ac314411f121b544cb5528",
+    ),
+    "no_reseed_exhausted": (
+        NetworkSpec(rng_seed=31),
+        SamplingConfig(
+            n_seeds=3,
+            coupons_per_respondent=1,
+            target_n=400,
+            reseed_on_die_out=False,
+            rng_seed=13,
+            behavior=BehaviorConfig(pass_prob_uninfected=0.85, pass_prob_infected=0.85),
+        ),
+        "2e9e4d9aafa26f867025379a5a541b5f42fe0f99937e828ee486ae27454295ca",
+    ),
+    "no_coupons_infected_only": (
+        NetworkSpec(rng_seed=32),
+        SamplingConfig(
+            n_seeds=5,
+            seed_rule=SeedRule.infected_only_pps(),
+            coupons_per_respondent=0,
+            target_n=250,
+            rng_seed=14,
+        ),
+        "2e765ee06c64b6f37a9e6d85b5690d9d88daafecfe880c707729cae40df59ba2",
+    ),
+    "three_coupons_infected_only": (
+        NetworkSpec(rng_seed=33),
+        SamplingConfig(
+            n_seeds=5,
+            seed_rule=SeedRule.infected_only_pps(),
+            coupons_per_respondent=3,
+            target_n=400,
+            rng_seed=15,
+            behavior=BehaviorConfig(
+                response_prob_uninfected=0.5,
+                own_group_weight_infected=3.0,
+            ),
+        ),
+        "3298d877f586291eeb68d232cffa6b7362baee2eedd25e492876a55d59c59f7e",
+    ),
+}
+
+
+class TestPinnedSampleBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
+    def test_sample_bytes_unchanged(self, tmp_path, case):
+        spec, cfg, digest = PINNED_SAMPLES[case]
+        got, _ = _sample_sha256(generate_network(spec), cfg, tmp_path / "sample.txt")
+        assert got == digest
+
+    def test_cases_cover_their_paths(self, tmp_path):
+        # The digests only guard the paths the cases actually take.
+        for case in ("no_reseed_exhausted", "no_coupons_infected_only"):
+            spec, cfg, _ = PINNED_SAMPLES[case]
+            _, s = _sample_sha256(generate_network(spec), cfg, tmp_path / "s.txt")
+            assert s.exhausted and s.size < cfg.target_n, case
+        spec, cfg, _ = PINNED_SAMPLES["desk_behavior_other_seed"]
+        _, s = _sample_sha256(generate_network(spec), cfg, tmp_path / "s.txt")
+        assert s.reseed_count > 0 and s.counts.nonresponses > 0
