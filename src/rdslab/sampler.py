@@ -265,6 +265,10 @@ def _degree_ramp(degree: int, low: float, high: float) -> float:
     return low + (degree - _RAMP_LOW_DEGREE) * (high - low) / span
 
 
+def _kernel(gap: int, width: float) -> float:
+    return max(_KERNEL_FLOOR, 1.0 - gap / width)
+
+
 def _group_factor(behavior: BehaviorConfig, r_inf: bool, c_inf: bool) -> float:
     """Own-group factor times infected-candidate factor, in that order."""
     w = 1.0
@@ -291,7 +295,7 @@ def recruitment_weight(
     w = _group_factor(behavior, bool(net.infected[recruiter]), bool(net.infected[candidate]))
     if behavior.similar_degree_width is not None:
         gap = abs(int(net.degrees[recruiter]) - int(net.degrees[candidate]))
-        w *= max(_KERNEL_FLOOR, 1.0 - gap / behavior.similar_degree_width)
+        w *= _kernel(gap, behavior.similar_degree_width)
     if behavior.candidate_degree_ramp is not None:
         lo, hi = behavior.candidate_degree_ramp
         w *= _degree_ramp(int(net.degrees[candidate]), lo, hi)
@@ -378,7 +382,7 @@ class _Tables:
         self.group = [[_group_factor(b, r, c) for c in (False, True)] for r in (False, True)]
         # No kernel is the infinitely wide one, which is exactly 1.
         width = b.similar_degree_width or math.inf
-        self.kernel = [max(_KERNEL_FLOOR, 1.0 - gap / width) for gap in degree_range]
+        self.kernel = [_kernel(gap, width) for gap in degree_range]
         lo, hi = b.candidate_degree_ramp or (1.0, 1.0)
         ramps = [_degree_ramp(d, lo, hi) for d in degree_range]
         self.uniform = all(
