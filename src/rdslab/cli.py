@@ -271,6 +271,12 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     config = read_config(args.config)
+    # Each replication's SS estimate takes the size of the network it sampled.
+    if config.population_size not in (None, config.network.n_nodes):
+        raise ConfigError(
+            f"estimation.population_size must be null or equal network.n_nodes "
+            f"({config.network.n_nodes}) for experiment, got {config.population_size}"
+        )
     _echo_config(config)
     condition = Condition(
         label=config.label,

@@ -19,12 +19,16 @@ nodes in the underlying population.  Five estimators are provided:
 stable failure codes instead of exceptions.
 
 Seeds count as recruiters but never as recruits in all recruitment tallies.
+
+The estimators are array expressions over the sample's columns.  Weighted
+sums are ``np.cumsum(x)[-1]``: left to right in enrolment order, as a ``+=``
+loop adds, where ``np.sum``'s pairwise order would move the last bits.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -80,21 +84,30 @@ def _require_nonempty(sample: Sample) -> None:
         raise EstimationError("sample is empty", code=EMPTY_SAMPLE)
 
 
+def _require_positive_degrees(sample: Sample, members=slice(None), detail: str = "") -> None:
+    """`ZERO_DEGREE` naming the first of ``members`` (default all) with degree < 1."""
+    low = sample.degree[members] < 1
+    if low.any():
+        i = np.arange(sample.size)[members][low.argmax()]
+        message = f"node {sample.node_id[i]} has degree {sample.degree[i]}{detail}"
+        raise EstimationError(message, code=ZERO_DEGREE)
+
+
+def _running_total(values: np.ndarray) -> np.float64:
+    """Left-to-right sum, rounded as a ``+=`` loop rounds; 0.0 when empty."""
+    return np.cumsum(values)[-1] if values.size else np.float64(0.0)
+
+
 def naive_estimate(sample: Sample) -> float:
     """Sample proportion of infected respondents."""
     _require_nonempty(sample)
     return sample.n_infected / sample.size
 
 
-def _inverse_weight_ratio(sample: Sample, weight_of: dict[int, float]) -> float:
-    num = 0.0
-    den = 0.0
-    for r in sample.records:
-        w = 1.0 / weight_of[r.degree]
-        den += w
-        if r.infected:
-            num += w
-    return num / den
+def _inverse_weight_ratio(sample: Sample, inclusion: np.ndarray) -> float:
+    """Infected share with each respondent weighted by ``1 / inclusion``."""
+    weights = 1.0 / inclusion
+    return float(_running_total(weights[sample.infected]) / _running_total(weights))
 
 
 def vh_estimate(sample: Sample) -> float:
@@ -104,14 +117,8 @@ def vh_estimate(sample: Sample) -> float:
     approximation to inclusion under degree-proportional sampling.
     """
     _require_nonempty(sample)
-    for r in sample.records:
-        if r.degree < 1:
-            raise EstimationError(
-                f"node {r.node_id} has degree {r.degree}; inverse-degree weights "
-                "need degree >= 1",
-                code=ZERO_DEGREE,
-            )
-    return _inverse_weight_ratio(sample, {r.degree: float(r.degree) for r in sample.records})
+    _require_positive_degrees(sample, detail="; inverse-degree weights need degree >= 1")
+    return _inverse_weight_ratio(sample, sample.degree.astype(np.float64))
 
 
 # --------------------------------------------------------------------------
@@ -321,15 +328,11 @@ def _integer_composition(shares: np.ndarray, total: int) -> np.ndarray:
 
 
 def _ss_fixed_point(
-    sample_degree_counts: dict[int, int],
-    population_size: int,
-    draws: int,
+    degrees: np.ndarray, sample_counts: np.ndarray, population_size: int, draws: int,
     options: SsOptions,
-) -> dict[int, float]:
-    degrees = np.array(sorted(sample_degree_counts), dtype=np.int64)
-    sample_counts = np.array(
-        [sample_degree_counts[d] for d in degrees.tolist()], dtype=np.float64
-    )
+) -> np.ndarray:
+    """Inclusion probability of each sorted distinct sample degree."""
+    sample_counts = sample_counts.astype(np.float64)
     if (degrees < 1).any():
         raise EstimationError("sample contains degrees < 1", code=ZERO_DEGREE)
     if draws > population_size:
@@ -358,9 +361,7 @@ def _ss_fixed_point(
                 # a revisit means it entered a cycle (often two roundings that
                 # straddle the continuous fixed point).  The cycle average is
                 # the limit of the damped iteration; return it.
-                cycle = history[seen[key] :]
-                pi = np.mean(cycle, axis=0)
-                return dict(zip(degrees.tolist(), pi.tolist()))
+                return np.mean(history[seen[key] :], axis=0)
             if method == "enumerate":
                 pi = _enumerated_inclusion(degrees, composition, draws)
             else:
@@ -368,7 +369,7 @@ def _ss_fixed_point(
             seen[key] = len(history)
             history.append(pi)
         if previous is not None and float(np.max(np.abs(pi - previous))) < options.tolerance:
-            return dict(zip(degrees.tolist(), pi.tolist()))
+            return pi
         previous = pi
         raw = sample_counts / pi
         estimated = raw * (population_size / raw.sum())
@@ -391,14 +392,10 @@ def ss_estimate(
     reweighs respondents by the reciprocal probabilities.
     """
     _require_nonempty(sample)
-    for r in sample.records:
-        if r.degree < 1:
-            raise EstimationError(
-                f"node {r.node_id} has degree {r.degree}", code=ZERO_DEGREE
-            )
-    counts = Counter(r.degree for r in sample.records)
-    pi = _ss_fixed_point(dict(counts), population_size, sample.size, options)
-    return _inverse_weight_ratio(sample, pi)
+    _require_positive_degrees(sample)
+    degrees, inverse, counts = np.unique(sample.degree, return_inverse=True, return_counts=True)
+    pi = _ss_fixed_point(degrees, counts, population_size, sample.size, options)
+    return _inverse_weight_ratio(sample, pi[inverse])
 
 
 # --------------------------------------------------------------------------
@@ -442,55 +439,18 @@ class CrossGroupCounts:
         return self.uninfected_to_infected / self.from_uninfected
 
 
-def _recruitment_pairs(sample: Sample) -> list[tuple[int, int]]:
-    """(recruiter index, recruit index) pairs in enrollment order."""
-    position = sample.index_of()
-    pairs = []
-    for i, r in enumerate(sample.records):
-        if r.recruiter_id is None:
-            continue
-        j = position.get(r.recruiter_id)
-        if j is None or j >= i:
-            raise ConfigError(
-                f"respondent {r.node_id} names recruiter {r.recruiter_id} which does "
-                "not appear earlier in the sample"
-            )
-        pairs.append((j, i))
-    return pairs
-
-
 def cross_group_counts(sample: Sample) -> CrossGroupCounts:
     """Tally recruitments between infection groups."""
-    tallies = [[0, 0], [0, 0]]
-    for j, i in _recruitment_pairs(sample):
-        src = int(sample.records[j].infected)
-        dst = int(sample.records[i].infected)
-        tallies[src][dst] += 1
-    return CrossGroupCounts(
-        infected_to_infected=tallies[1][1],
-        infected_to_uninfected=tallies[1][0],
-        uninfected_to_infected=tallies[0][1],
-        uninfected_to_uninfected=tallies[0][0],
-    )
+    recruiter, recruited = sample.recruiter_pos, sample.recruiter_pos >= 0
+    infected = sample.infected.astype(np.int64)
+    cell = 2 * infected[recruiter[recruited]] + infected[recruited]
+    # Cells 3, 2, 1, 0 are infected-infected, ..., uninfected-uninfected: the field order.
+    return CrossGroupCounts(*np.bincount(cell, minlength=4).tolist()[::-1])
 
 
 def harmonic_mean_degree(sample: Sample, infected: bool) -> float:
     """Harmonic mean of reported degrees over one infection group."""
-    n_g = 0
-    acc = 0.0
-    for r in sample.records:
-        if r.infected != infected:
-            continue
-        if r.degree < 1:
-            raise EstimationError(
-                f"node {r.node_id} has degree {r.degree}", code=ZERO_DEGREE
-            )
-        n_g += 1
-        acc += 1.0 / r.degree
-    if n_g == 0:
-        group = "infected" if infected else "uninfected"
-        raise EstimationError(f"no {group} respondents in sample", code=EMPTY_GROUP)
-    return n_g / acc
+    return float(adjusted_degree(sample, np.ones(sample.size), infected))
 
 
 def _balance_ratio(
@@ -569,26 +529,28 @@ def partition_degree_groups(sample: Sample, mean_cell_size: int = 12) -> DegreeG
     _require_nonempty(sample)
     n = sample.size
     level = max(1, math.floor(math.sqrt(n / mean_cell_size) + 0.5))
-    degree_counts = Counter(r.degree for r in sample.records)
-    distinct = sorted(degree_counts)
-    cumulative = np.cumsum([degree_counts[d] for d in distinct])
+    distinct, counts = np.unique(sample.degree, return_counts=True)
+    # Candidate edges are the cumulative counts strictly between the previous
+    # edge and n; the last one equals n, so they end at index ``last - 1``.
+    cumulative = np.cumsum(counts).tolist()
+    last = len(cumulative) - 1
     boundaries: list[int] = []
     prev_edge = 0
     for j in range(1, level):
         target = j * n / level
-        best = None
-        for idx, edge in enumerate(cumulative.tolist()):
-            if edge <= prev_edge or edge >= n:
-                continue
-            distance = abs(edge - target)
-            if best is None or distance < best[0] or (distance == best[0] and edge < best[1]):
-                best = (distance, edge, idx)
-        if best is None:
+        first = bisect_right(cumulative, prev_edge)
+        if first >= last:
             break
-        boundaries.append(distinct[best[2]])
-        prev_edge = best[1]
+        # The nearest edge is the last one below the target or the first
+        # at or above it; a tie goes to the lower one.
+        above = min(max(bisect_left(cumulative, target), first), last - 1)
+        below = above - 1
+        if above > first and not cumulative[above] - target < target - cumulative[below]:
+            above = below
+        boundaries.append(int(distinct[above]))
+        prev_edge = cumulative[above]
     edges = np.array(boundaries, dtype=np.int64)
-    group_index = np.searchsorted(edges, [r.degree for r in sample.records], side="left")
+    group_index = np.searchsorted(edges, sample.degree, side="left")
     sizes = np.bincount(group_index, minlength=len(boundaries) + 1)
     return DegreeGroups(
         mean_cell_size=mean_cell_size,
@@ -609,23 +571,18 @@ def degree_group_transition_matrix(
     gets the marginal recruit distribution as its row; the second return
     value reports whether any row was patched that way.
     """
-    pairs = _recruitment_pairs(sample)
-    if not pairs:
+    recruiter, recruited = sample.recruiter_pos, sample.recruiter_pos >= 0
+    if not recruited.any():
         raise EstimationError("sample contains no recruitments", code=NO_RECRUITMENT_EVENTS)
-    k = groups.n_groups
-    recruiter, recruit = groups.group_index[np.array(pairs).T]
-    counts = np.bincount(recruiter * k + recruit, minlength=k * k).reshape(k, k).astype(np.float64)
-    marginal = counts.sum(axis=0) / counts.sum()
-    patched = False
-    matrix = np.empty_like(counts)
-    for g in range(k):
-        row_total = counts[g].sum()
-        if row_total == 0.0:
-            matrix[g] = marginal
-            patched = True
-        else:
-            matrix[g] = counts[g] / row_total
-    return matrix, patched
+    k, group = groups.n_groups, groups.group_index
+    cell = group[recruiter[recruited]] * k + group[recruited]
+    counts = np.bincount(cell, minlength=k * k).reshape(k, k).astype(np.float64)
+    # Tallies are whole numbers, so every sum here is exact in any order.
+    row_total = counts.sum(axis=1)
+    silent = row_total == 0.0
+    matrix = counts / np.where(silent, 1.0, row_total)[:, None]
+    matrix[silent] = counts.sum(axis=0) / counts.sum()
+    return matrix, bool(silent.any())
 
 
 def equilibrium_distribution(
@@ -723,23 +680,13 @@ def adjusted_degree(sample: Sample, rcd: np.ndarray, infected: bool) -> float:
     ``sum(RCD_i) / sum(RCD_i / degree_i)`` over the group's respondents;
     reduces to the harmonic mean degree when every RCD is 1.
     """
-    num = 0.0
-    den = 0.0
-    n_g = 0
-    for i, r in enumerate(sample.records):
-        if r.infected != infected:
-            continue
-        if r.degree < 1:
-            raise EstimationError(
-                f"node {r.node_id} has degree {r.degree}", code=ZERO_DEGREE
-            )
-        num += rcd[i]
-        den += rcd[i] / r.degree
-        n_g += 1
-    if n_g == 0:
+    members = np.flatnonzero(sample.infected == infected)
+    _require_positive_degrees(sample, members)
+    if members.size == 0:
         group = "infected" if infected else "uninfected"
         raise EstimationError(f"no {group} respondents in sample", code=EMPTY_GROUP)
-    return num / den
+    weights = np.asarray(rcd, dtype=np.float64)[members]
+    return _running_total(weights) / _running_total(weights / sample.degree[members])
 
 
 def _h_components(sample: Sample, mean_cell_size: int) -> tuple[float, bool, bool]:
@@ -769,7 +716,7 @@ def h_estimate(sample: Sample, mean_cell_size: int = 12) -> float:
 # --------------------------------------------------------------------------
 # the full set
 
-@dataclass
+@dataclass(slots=True)
 class EstimateSet:
     """All five estimates for one sample, with flags and failure codes.
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from .errors import ConfigError, EstimationError, as_flag, as_float, as_int, read_text
 from .estimators import ESTIMATOR_NAMES, EstimateSet, SsOptions, estimate_all
@@ -102,7 +101,7 @@ class Condition:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReplicationRow:
     replication: int
     estimates: EstimateSet
@@ -255,6 +254,9 @@ def paired_difference_test(
             return PairedTestResult(estimator, k, 0.0, 0.0, 1.0, 1.0, False)
         t_stat = float("inf") if mean > 0 else float("-inf")
         return PairedTestResult(estimator, k, mean, t_stat, 0.0, 0.0, True)
+    # Imported here, its only use: scipy.stats takes about a second and 70 MB to load.
+    from scipy import stats
+
     t_stat = mean / (sd / np.sqrt(k))
     p_value = 2.0 * float(stats.t.sf(abs(t_stat), df=k - 1))
     return PairedTestResult(

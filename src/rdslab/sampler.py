@@ -34,6 +34,10 @@ unit weights would reach.  Either way the random draws (pass, pick,
 response, reseed) come in the same order and number, so a seed gives the
 sample that a loop calling ``rng.random()`` and `recruitment_weight` for
 each candidate would draw.
+
+`run_rds` appends each enrolment to plain lists and builds the columns of
+its `Sample` once, recruiter positions included; a sample built from records
+or read from a file resolves those positions on first use.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from collections import deque
 from itertools import chain
 from operator import length_hint
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -231,29 +235,77 @@ class EventCounts:
         return self.coupons_used + self.coupons_expired + self.nonresponses
 
 
-@dataclass
-class Sample:
-    """Ordered respondent list plus the event tallies of the run."""
+# Sample columns, in `RespondentRecord` field order, and their dtypes.
+_COLUMNS = {"node_id": np.int64, "degree": np.int64, "infected": bool,
+            "recruiter_id": np.int64, "wave": np.int64, "reseed": bool}
 
-    records: list[RespondentRecord]
-    counts: EventCounts
-    exhausted: bool = False
+
+class Sample:
+    """Respondents in enrolment order, as numpy columns, plus the run's event tallies.
+
+    The columns are the `RespondentRecord` fields, one entry per respondent;
+    ``recruiter_id`` is -1 for seeds and reseeds.  `records` builds the rows.
+    """
+
+    def __init__(self, records: Iterable[RespondentRecord], counts: EventCounts,
+                 exhausted: bool = False) -> None:
+        rows = [(r.node_id, r.degree, r.infected, -1 if r.recruiter_id is None else r.recruiter_id,
+                 r.wave, r.reseed) for r in records]
+        self._fill(zip(*rows) if rows else [()] * len(_COLUMNS), counts, exhausted, None)
+
+    @classmethod
+    def _from_columns(cls, columns, counts: EventCounts, exhausted: bool = False,
+                     recruiter_pos: Optional[np.ndarray] = None) -> "Sample":
+        """A sample from its columns; ``recruiter_pos``, when given, is taken unchecked."""
+        sample = cls.__new__(cls)
+        sample._fill(columns, counts, exhausted, recruiter_pos)
+        return sample
+
+    def _fill(self, columns, counts, exhausted, recruiter_pos) -> None:
+        for (name, dtype), column in zip(_COLUMNS.items(), columns):
+            setattr(self, name, np.asarray(column, dtype=dtype))
+        self.counts, self.exhausted, self._recruiter_pos = counts, exhausted, recruiter_pos
+
+    @property
+    def records(self) -> list[RespondentRecord]:
+        """The respondents as `RespondentRecord` rows, built on each access."""
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return [RespondentRecord(node, degree, infected, None if rec < 0 else rec, wave, reseed)
+                for node, degree, infected, rec, wave, reseed in zip(*columns)]
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.node_id)
 
     @property
     def n_infected(self) -> int:
-        return sum(1 for r in self.records if r.infected)
+        return int(np.count_nonzero(self.infected))
 
     @property
     def reseed_count(self) -> int:
-        return sum(1 for r in self.records if r.reseed)
+        return int(np.count_nonzero(self.reseed))
 
-    def index_of(self) -> dict[int, int]:
-        """Map node id to position in the sample."""
-        return {r.node_id: i for i, r in enumerate(self.records)}
+    @property
+    def recruiter_pos(self) -> np.ndarray:
+        """Each respondent's recruiter as a sample position, -1 for seeds.
+
+        A recruiter id names the last respondent with that node id, who must
+        come earlier in the sample, else `ConfigError`.
+        """
+        if self._recruiter_pos is None:
+            ids, named = self.recruiter_id, self.recruiter_id >= 0
+            # A stable sort keeps equal ids in enrolment order, so the
+            # rightmost match of an id is its last respondent.
+            order = np.argsort(self.node_id, kind="stable")
+            at = np.searchsorted(self.node_id[order], ids, side="right") - 1
+            pos = order[at]
+            bad = named & ((at < 0) | (self.node_id[pos] != ids) | (pos >= np.arange(self.size)))
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ConfigError(f"respondent {self.node_id[i]} names recruiter {ids[i]} "
+                                  "which does not appear earlier in the sample")
+            self._recruiter_pos = np.where(named, pos, -1)
+        return self._recruiter_pos
 
 
 def _degree_ramp(degree: int, low: float, high: float) -> float:
@@ -318,6 +370,17 @@ def _seed_pool(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
     return ids
 
 
+def _pps_index(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(probs), p=probs)`` draws: same uniform, same sums.
+
+    No re-validation: pool weights are degrees >= 1 (picked ones zeroed), so
+    ``probs`` is a valid distribution by construction.
+    """
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _draw_seeds(
     net: Network, rule: SeedRule, count: int, rng: np.random.Generator, allowed: np.ndarray
 ) -> list[int]:
@@ -330,8 +393,7 @@ def _draw_seeds(
         weights = net.degrees[pool].astype(float)
         chosen = []
         for _ in range(count):
-            probs = weights / weights.sum()
-            j = int(rng.choice(len(pool), p=probs))
+            j = _pps_index(weights / weights.sum(), rng)
             chosen.append(int(pool[j]))
             weights[j] = 0.0
         return chosen
@@ -443,35 +505,27 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     indptr, indices = net.indptr, net.indices
     coupons, target_n = config.coupons_per_respondent, config.target_n
     state = bytearray(net.n_nodes)
-    wave_of = [0] * net.n_nodes
-    records: list[RespondentRecord] = []
+    # One entry per enrolment, recruiters by sample position; the queue holds
+    # each coupon's holder by sample position too.
+    nodes, recruiters, waves = [], [], []
     queue: deque[int] = deque()
-    issued = used = expired = nonresp = 0
+    expired = nonresp = 0
 
-    def enroll(node: int, recruiter: Optional[int], wave: int, reseed: bool) -> None:
-        nonlocal issued
+    def enroll(node: int, recruiter: int, wave: int) -> None:
         state[node] = _SAMPLED
-        wave_of[node] = wave
-        records.append(
-            RespondentRecord(
-                node_id=node,
-                degree=degrees[node],
-                infected=infected[node],
-                recruiter_id=recruiter,
-                wave=wave,
-                reseed=reseed,
-            )
-        )
-        issued += coupons
-        queue.extend([node] * coupons)
+        queue.extend([len(nodes)] * coupons)
+        nodes.append(node)
+        recruiters.append(recruiter)
+        waves.append(wave)
 
     exhausted = False
     for node in select_seeds(net, config.seed_rule, config.n_seeds, rng):
-        enroll(node, None, 0, False)
-        if len(records) >= target_n:
+        enroll(node, -1, 0)
+        if len(nodes) >= target_n:
             break
+    n_seeds = len(nodes)  # respondents without a recruiter after these are reseeds
 
-    while len(records) < target_n:
+    while len(nodes) < target_n:
         if not queue:
             if not config.reseed_on_die_out:
                 exhausted = True
@@ -483,9 +537,10 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             except SamplingError:
                 exhausted = True
                 break
-            enroll(node, None, 0, True)
+            enroll(node, -1, 0)
             continue
-        holder = queue.popleft()
+        position = queue.popleft()
+        holder = nodes[position]
         eligible = [
             v for v in indices[indptr[holder] : indptr[holder + 1]].tolist() if not state[v]
         ]
@@ -514,17 +569,20 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                     chosen = v
                     break
         if random() < response_prob[infected[chosen]][degrees[chosen]]:
-            used += 1
-            enroll(chosen, holder, wave_of[holder] + 1, False)
+            enroll(chosen, position, waves[position] + 1)
         else:
             state[chosen] = _REFUSED
             nonresp += 1
 
-    return Sample(
-        records=records,
-        counts=EventCounts(issued, used, expired, nonresp),
-        exhausted=exhausted,
-    )
+    node_id = np.array(nodes, dtype=np.int64)
+    recruiter_pos = np.array(recruiters, dtype=np.int64)
+    seed = recruiter_pos < 0
+    reseed = seed & (np.arange(len(nodes)) >= n_seeds)
+    columns = (node_id, net.degrees[node_id], net.infected[node_id],
+               np.where(seed, -1, node_id[recruiter_pos]), waves, reseed)
+    # Every respondent got the same coupons, and each recruit used one.
+    counts = EventCounts(len(nodes) * coupons, int(np.count_nonzero(~seed)), expired, nonresp)
+    return Sample._from_columns(columns, counts, exhausted, recruiter_pos)
 
 
 _SAMPLE_COLUMNS = "order node_id degree infected recruiter_id wave reseed"
@@ -538,13 +596,11 @@ def save_sample(sample: Sample, path) -> None:
     order (``recruiter_id`` is -1 for seeds and reseeds), then a trailing
     comment block with the event counts and the exhaustion flag.
     """
+    columns = (getattr(sample, name).astype(np.int64).tolist() for name in _COLUMNS)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_SAMPLE_COLUMNS + "\n")
-        for i, r in enumerate(sample.records):
-            rec = -1 if r.recruiter_id is None else r.recruiter_id
-            fh.write(
-                f"{i} {r.node_id} {r.degree} {int(r.infected)} {rec} {r.wave} {int(r.reseed)}\n"
-            )
+        for row in zip(range(sample.size), *columns):
+            fh.write("%d %d %d %d %d %d %d\n" % row)
         tallies = {**asdict(sample.counts), "exhausted": int(sample.exhausted)}
         for key in _SAMPLE_META:
             fh.write(f"# {key} {tallies[key]}\n")
@@ -577,15 +633,10 @@ def load_sample(path) -> Sample:
         order, node, degree, rec, wave = (as_int(parts[i], where) for i in (0, 1, 2, 4, 5))
         if order != len(records):
             raise ConfigError(f"{where}: order column out of sequence")
-        records.append(
-            RespondentRecord(
-                node_id=node,
-                degree=degree,
-                infected=as_flag(parts[3], where),
-                recruiter_id=None if rec < 0 else rec,
-                wave=wave,
-                reseed=as_flag(parts[6], where),
-            )
-        )
+        if not all(-(2**63) <= v < 2**63 for v in (node, degree, max(rec, -1), wave)):
+            raise ConfigError(f"{where}: values must fit in a 64-bit signed integer")
+        recruiter = None if rec < 0 else rec
+        infected, reseed = as_flag(parts[3], where), as_flag(parts[6], where)
+        records.append(RespondentRecord(node, degree, infected, recruiter, wave, reseed))
     exhausted = meta.pop("exhausted", False)
     return Sample(records=records, counts=EventCounts(**meta), exhausted=exhausted)

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -181,6 +184,15 @@ class TestParseConfig:
             parse_config(document)
 
 
+def test_import_leaves_scipy_stats_unloaded():
+    # Only paired_difference_test needs scipy.stats, and it imports it itself.
+    probe = "import sys, rdslab, rdslab.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 class TestExitCodes:
     def test_pipeline_returns_zero(self, tmp_path, config_path):
         net = tmp_path / "net.txt"
@@ -293,7 +305,11 @@ class TestExitCodes:
         assert read_config(str(cfg)).sampling.behavior.similar_degree_width == float("inf")
 
     @pytest.mark.parametrize(
-        "rows,lineno", [("0 5 x 1 -1 0 0\n", 2), ("0 5 3 1 -1 0 0\n# exhausted yes\n", 3)]
+        "rows,lineno", [
+            ("0 5 x 1 -1 0 0\n", 2),
+            ("0 5 3 1 -1 0 0\n# exhausted yes\n", 3),
+            ("0 5 3 1 -1 0 0\n1 99999999999999999999 3 1 5 1 0\n", 3),  # past 64 bits
+        ]
     )
     def test_bad_sample_token_is_one_json_line(self, tmp_path, capsys, rows, lineno):
         smp = tmp_path / "s.txt"
@@ -383,6 +399,28 @@ class TestExperiment:
         assert open(rep_one, "rb").read() == open(rep_two, "rb").read()
         assert open(sum_one, "rb").read() == open(sum_two, "rb").read()
         assert len(open(rep_one).read().splitlines()) == 4  # header + 3 reps
+
+    @pytest.mark.parametrize("value", [299, 1000])
+    def test_population_size_other_than_n_nodes_is_one_json_line(self, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(BASE_YAML.replace("population_size: 300", f"population_size: {value}"))
+        assert dispatch(["experiment", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "config"
+        assert "estimation.population_size" in payload["message"]
+        assert not (tmp_path / "x_replications.csv").exists()
+
+    def test_population_size_null_or_n_nodes_gives_same_bytes(self, tmp_path, config_path):
+        null_cfg = tmp_path / "null.yaml"
+        null_cfg.write_text(BASE_YAML.replace("population_size: 300", "population_size: null"))
+        outputs = []
+        for name, cfg in (("equal", config_path), ("null", str(null_cfg))):
+            assert dispatch(["experiment", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / f"{name}_{kind}.csv").read_bytes()
+                            for kind in ("replications", "summary")])
+        assert outputs[0] == outputs[1]
 
     def test_reps_flag_overrides(self, tmp_path, config_path):
         out = tmp_path / "exp"

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from rdslab import (
     ConfigError,
+    CrossGroupCounts,
+    DegreeGroups,
     EstimationError,
     EventCounts,
     NetworkSpec,
@@ -28,11 +34,16 @@ from rdslab import (
     vh_estimate,
 )
 from rdslab.estimators import (
+    EMPTY_GROUP,
+    EMPTY_SAMPLE,
     NO_CROSS_GROUP_RECRUITMENTS,
+    NO_RECRUITMENT_EVENTS,
     NO_RECRUITMENTS_FROM_GROUP,
     SS_NONCONVERGENCE,
+    ZERO_DEGREE,
     _asymptotic_inclusion,
     _balance_ratio,
+    _ss_fixed_point,
     adjusted_degree,
     cross_group_counts,
     degree_group_chain,
@@ -286,6 +297,10 @@ class TestCrossGroupMachinery:
         bad = make_sample([rec(0, 3, True, recruiter=1, wave=1), rec(1, 3, False)])
         with pytest.raises(ConfigError):
             cross_group_counts(bad)
+        for recruiter in (1, 7):  # itself, and a node not in the sample
+            bad = make_sample([rec(0, 3, True), rec(1, 3, False, recruiter=recruiter, wave=1)])
+            with pytest.raises(ConfigError, match="does not appear earlier"):
+                cross_group_counts(bad)
 
     def test_harmonic_mean_degree(self):
         s = make_sample([rec(0, 2, True), rec(1, 4, True), rec(2, 9, False)])
@@ -375,6 +390,15 @@ class TestDegreeGroups:
             # groups are contiguous in degree
             order = np.argsort(degrees, kind="stable")
             assert np.all(np.diff(groups.group_index[order]) >= 0)
+
+    def test_edge_never_repeats(self):
+        # Cumulative counts 1, 29, 30: the second target (12) is nearest the
+        # first edge again, so the next edge up is taken, and then none is left.
+        s = make_sample([rec(i, d, False) for i, d in enumerate([1] + [2] * 28 + [3])])
+        groups = partition_degree_groups(s, mean_cell_size=1)
+        assert groups.aggregation_level == 5
+        assert groups.boundaries == (1, 2)
+        assert groups.group_sizes == (1, 28, 1)
 
     def test_golden_partition(self, golden):
         groups = partition_degree_groups(golden, mean_cell_size=2)
@@ -586,3 +610,271 @@ class TestInvariances:
         se = np.sqrt(weighted_share * (1 - weighted_share) / reps)
         assert abs(naive_estimate(s) - weighted_share) < 3 * se
         assert abs(vh_estimate(s) - 0.3) < 0.01
+
+
+# --------------------------------------------------------------------------
+# Per-record loop reference: the estimators as they were written before the
+# sample became columnar.  The array estimators must give the same values,
+# bit for bit, and fail with the same exceptions and codes.
+
+def _ref_require_nonempty(sample):
+    if not sample.records:
+        raise EstimationError("sample is empty", code=EMPTY_SAMPLE)
+
+
+def _ref_inverse_weight_ratio(sample, weight_of):
+    num = 0.0
+    den = 0.0
+    for r in sample.records:
+        w = 1.0 / weight_of[r.degree]
+        den += w
+        if r.infected:
+            num += w
+    return num / den
+
+
+def _ref_naive(sample):
+    _ref_require_nonempty(sample)
+    return sum(1 for r in sample.records if r.infected) / len(sample.records)
+
+
+def _ref_vh(sample):
+    _ref_require_nonempty(sample)
+    for r in sample.records:
+        if r.degree < 1:
+            raise EstimationError("zero degree", code=ZERO_DEGREE)
+    return _ref_inverse_weight_ratio(sample, {r.degree: float(r.degree) for r in sample.records})
+
+
+def _ref_ss(sample, population_size, options):
+    _ref_require_nonempty(sample)
+    for r in sample.records:
+        if r.degree < 1:
+            raise EstimationError("zero degree", code=ZERO_DEGREE)
+    counts = Counter(r.degree for r in sample.records)
+    degrees = np.array(sorted(counts), dtype=np.int64)
+    sizes = np.array([counts[d] for d in degrees.tolist()], dtype=np.float64)
+    pi = _ss_fixed_point(degrees, sizes, population_size, len(sample.records), options)
+    return _ref_inverse_weight_ratio(sample, dict(zip(degrees.tolist(), pi.tolist())))
+
+
+def _ref_recruitment_pairs(sample):
+    records = sample.records
+    position = {r.node_id: i for i, r in enumerate(records)}
+    pairs = []
+    for i, r in enumerate(records):
+        if r.recruiter_id is None:
+            continue
+        j = position.get(r.recruiter_id)
+        if j is None or j >= i:
+            raise ConfigError(f"respondent {r.node_id} names recruiter {r.recruiter_id}")
+        pairs.append((j, i))
+    return pairs
+
+
+def _ref_cross_group_counts(sample):
+    tallies = [[0, 0], [0, 0]]
+    for j, i in _ref_recruitment_pairs(sample):
+        tallies[int(sample.records[j].infected)][int(sample.records[i].infected)] += 1
+    return CrossGroupCounts(tallies[1][1], tallies[1][0], tallies[0][1], tallies[0][0])
+
+
+def _ref_harmonic(sample, infected):
+    n_g = 0
+    acc = 0.0
+    for r in sample.records:
+        if r.infected != infected:
+            continue
+        if r.degree < 1:
+            raise EstimationError("zero degree", code=ZERO_DEGREE)
+        n_g += 1
+        acc += 1.0 / r.degree
+    if n_g == 0:
+        raise EstimationError("empty group", code=EMPTY_GROUP)
+    return n_g / acc
+
+
+def _ref_sh(sample):
+    _ref_require_nonempty(sample)
+    counts = _ref_cross_group_counts(sample)
+    c_iu = counts.proportion_infected_to_uninfected()
+    c_ui = counts.proportion_uninfected_to_infected()
+    return _balance_ratio(c_iu, c_ui, _ref_harmonic(sample, True), _ref_harmonic(sample, False))
+
+
+def _ref_partition(sample, mean_cell_size):
+    _ref_require_nonempty(sample)
+    records = sample.records
+    n = len(records)
+    level = max(1, math.floor(math.sqrt(n / mean_cell_size) + 0.5))
+    degree_counts = Counter(r.degree for r in records)
+    distinct = sorted(degree_counts)
+    cumulative = np.cumsum([degree_counts[d] for d in distinct])
+    boundaries = []
+    prev_edge = 0
+    for j in range(1, level):
+        target = j * n / level
+        best = None
+        for idx, edge in enumerate(cumulative.tolist()):
+            if edge <= prev_edge or edge >= n:
+                continue
+            distance = abs(edge - target)
+            if best is None or distance < best[0] or (distance == best[0] and edge < best[1]):
+                best = (distance, edge, idx)
+        if best is None:
+            break
+        boundaries.append(distinct[best[2]])
+        prev_edge = best[1]
+    edges = np.array(boundaries, dtype=np.int64)
+    group_index = np.searchsorted(edges, [r.degree for r in records], side="left")
+    sizes = np.bincount(group_index, minlength=len(boundaries) + 1)
+    return DegreeGroups(mean_cell_size, level, tuple(boundaries),
+                        group_index.astype(np.int64), tuple(int(s) for s in sizes))
+
+
+def _ref_transition(sample, groups):
+    pairs = _ref_recruitment_pairs(sample)
+    if not pairs:
+        raise EstimationError("no recruitments", code=NO_RECRUITMENT_EVENTS)
+    k = groups.n_groups
+    recruiter, recruit = groups.group_index[np.array(pairs).T]
+    counts = np.bincount(recruiter * k + recruit, minlength=k * k).reshape(k, k).astype(np.float64)
+    marginal = counts.sum(axis=0) / counts.sum()
+    patched = False
+    matrix = np.empty_like(counts)
+    for g in range(k):
+        row_total = counts[g].sum()
+        if row_total == 0.0:
+            matrix[g] = marginal
+            patched = True
+        else:
+            matrix[g] = counts[g] / row_total
+    return matrix, patched
+
+
+def _ref_adjusted(sample, rcd, infected):
+    num = 0.0
+    den = 0.0
+    n_g = 0
+    for i, r in enumerate(sample.records):
+        if r.infected != infected:
+            continue
+        if r.degree < 1:
+            raise EstimationError("zero degree", code=ZERO_DEGREE)
+        num += rcd[i]
+        den += rcd[i] / r.degree
+        n_g += 1
+    if n_g == 0:
+        raise EstimationError("empty group", code=EMPTY_GROUP)
+    return num / den
+
+
+def _ref_h(sample, mean_cell_size):
+    _ref_require_nonempty(sample)
+    counts = _ref_cross_group_counts(sample)
+    c_iu = counts.proportion_infected_to_uninfected()
+    c_ui = counts.proportion_uninfected_to_infected()
+    groups = _ref_partition(sample, mean_cell_size)
+    matrix, _ = _ref_transition(sample, groups)
+    equilibrium, _ = equilibrium_distribution(matrix)
+    rcd = rcd_values(sample, groups, equilibrium)
+    adj = [_ref_adjusted(sample, rcd, infected) for infected in (True, False)]
+    return float(_balance_ratio(c_iu, c_ui, *adj))
+
+
+def _outcome(call):
+    """A value as exact, comparable data, or the exception's type and code."""
+    try:
+        value = call()
+    except (EstimationError, ConfigError) as err:
+        return ("raised", type(err), getattr(err, "code", None))
+    if isinstance(value, DegreeGroups):
+        return (value.aggregation_level, value.boundaries, value.group_sizes,
+                value.group_index.tolist())
+    if isinstance(value, tuple):  # transition matrix and patched flag
+        return (value[0].tolist(), value[1])
+    if isinstance(value, float):
+        return repr(value)  # bit-exact, and nan equals nan
+    return value
+
+
+@st.composite
+def loop_samples(draw):
+    """Samples with zero degrees, mixed groups and arbitrary recruiter links.
+
+    ``tree`` samples name an earlier respondent as each recruiter, as
+    `run_rds` does; the others read like hand-written files, with repeated
+    node ids and recruiters that come later or do not appear at all.
+    """
+    n = draw(st.integers(0, 70))
+    tree = draw(st.booleans())
+    if tree:
+        ids = draw(st.permutations(range(n)))
+    else:
+        ids = draw(st.lists(st.integers(0, n + 3), min_size=n, max_size=n))
+    degrees = draw(st.lists(
+        st.sampled_from([0, 1, 1, 2, 3, 5, 8]) | st.integers(1, 40), min_size=n, max_size=n))
+    infected = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    records = []
+    for i in range(n):
+        if tree:
+            j = draw(st.none() | st.integers(0, max(i - 1, 0)))
+            recruiter = None if j is None or i == 0 else ids[j]
+        else:
+            recruiter = draw(st.none() | st.integers(0, n + 3))
+        records.append(RespondentRecord(ids[i], degrees[i], infected[i], recruiter, 0))
+    return Sample(records, EventCounts())
+
+
+class TestArrayEstimatorsMatchLoopReference:
+    @given(sample=loop_samples(), extra=st.integers(-2, 40), cell=st.integers(1, 8))
+    def test_same_values_and_failures(self, sample, extra, cell):
+        fresh = Sample(sample.records, sample.counts)  # recruiters not yet resolved
+        opts = SsOptions()
+        rcd = np.linspace(0.0, 2.0, sample.size)
+        pairs = [
+            (lambda: naive_estimate(sample), lambda: _ref_naive(sample)),
+            (lambda: vh_estimate(sample), lambda: _ref_vh(sample)),
+            (lambda: ss_estimate(sample, sample.size + extra, opts),
+             lambda: _ref_ss(sample, sample.size + extra, opts)),
+            (lambda: cross_group_counts(fresh), lambda: _ref_cross_group_counts(sample)),
+            (lambda: harmonic_mean_degree(sample, True), lambda: _ref_harmonic(sample, True)),
+            (lambda: harmonic_mean_degree(sample, False), lambda: _ref_harmonic(sample, False)),
+            (lambda: adjusted_degree(sample, rcd, True), lambda: _ref_adjusted(sample, rcd, True)),
+            (lambda: adjusted_degree(sample, rcd, False),
+             lambda: _ref_adjusted(sample, rcd, False)),
+            (lambda: sh_estimate(sample), lambda: _ref_sh(sample)),
+            (lambda: partition_degree_groups(sample, cell), lambda: _ref_partition(sample, cell)),
+            (lambda: h_estimate(sample, cell), lambda: _ref_h(sample, cell)),
+        ]
+        if sample.size:
+            groups = _ref_partition(sample, cell)
+            pairs.append((lambda: degree_group_transition_matrix(sample, groups),
+                          lambda: _ref_transition(sample, groups)))
+        with np.errstate(all="ignore"):
+            for array_call, loop_call in pairs:
+                assert _outcome(array_call) == _outcome(loop_call)
+
+    @given(sample=loop_samples())
+    def test_recruiter_positions_match_pairs(self, sample):
+        try:
+            expected = [-1] * sample.size
+            for j, i in _ref_recruitment_pairs(sample):
+                expected[i] = j
+        except ConfigError:
+            with pytest.raises(ConfigError, match="does not appear earlier"):
+                sample.recruiter_pos
+        else:
+            assert sample.recruiter_pos.tolist() == expected
+
+    def test_live_samples_match_reference(self):
+        for seed in range(6):
+            net = generate_network(NetworkSpec(differential_activity=1.8, rng_seed=40 + seed))
+            s = run_rds(net, SamplingConfig(target_n=200, rng_seed=seed))
+            for array_call, loop_call in (
+                (lambda: vh_estimate(s), lambda: _ref_vh(s)),
+                (lambda: ss_estimate(s, 1000), lambda: _ref_ss(s, 1000, SsOptions())),
+                (lambda: sh_estimate(s), lambda: _ref_sh(s)),
+                (lambda: h_estimate(s), lambda: _ref_h(s, 12)),
+            ):
+                assert _outcome(array_call) == _outcome(loop_call)

@@ -28,7 +28,7 @@ from rdslab import (
     save_sample,
     select_seeds,
 )
-from rdslab.sampler import _degree_ramp, _seed_pool, _Tables, _Uniforms
+from rdslab.sampler import _degree_ramp, _pps_index, _seed_pool, _Tables, _Uniforms
 
 
 def star_network(leaves: int = 9) -> Network:
@@ -87,6 +87,35 @@ class TestSeedRules:
         net = star_network(3)
         with pytest.raises(SamplingError, match="eligible seed"):
             select_seeds(net, SeedRule.infected_only_pps(), 2, np.random.default_rng(0))
+
+    @given(
+        weights=st.lists(st.floats(1e-3, 1e3) | st.integers(1, 500).map(float), min_size=1,
+                         max_size=300),
+        zeroed=st.sets(st.integers(0, 299), max_size=40),
+        seed=st.integers(0, 2**32),
+    )
+    def test_lean_pps_draw_equals_choice(self, weights, zeroed, seed):
+        # _draw_seeds zeroes each picked weight; at least one stays positive.
+        w = np.array(weights)
+        w[[i for i in zeroed if i < len(w) - 1]] = 0.0
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert _pps_index(w / w.sum(), rng) == int(ref.choice(len(w), p=w / w.sum()))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_lean_pps_draw_edges(self):
+        class NextUniform:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        # A uniform landing on a CDF step picks the next index, as choice's
+        # side="right" search does; ten 0.1s sum to the largest double below
+        # 1, so only the renormalised CDF keeps that uniform in range.
+        assert _pps_index(np.array([0.5, 0.5]), NextUniform(0.5)) == 1
+        assert _pps_index(np.full(10, 0.1), NextUniform(float(np.nextafter(1.0, 0.0)))) == 9
 
     def test_seeds_distinct(self):
         net = path_network(6)
@@ -389,7 +418,12 @@ class TestRunRds:
         s = run_rds(net, cfg)
         ids = [r.node_id for r in s.records]
         assert len(ids) == len(set(ids)) == 200
-        position = s.index_of()
+        position = {node: i for i, node in enumerate(ids)}
+        # The positions run_rds hands over are those a records-built sample resolves.
+        rebuilt = Sample(s.records, s.counts)
+        assert s.recruiter_pos.tolist() == rebuilt.recruiter_pos.tolist() == [
+            -1 if r.recruiter_id is None else position[r.recruiter_id] for r in s.records
+        ]
         for order, rec in enumerate(s.records):
             assert rec.degree == net.degrees[rec.node_id]
             assert rec.infected == bool(net.infected[rec.node_id])
