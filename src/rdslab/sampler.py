@@ -16,7 +16,7 @@ A coupon held by respondent ``i`` resolves in one pass:
 5. a responder joins the sample and receives fresh coupons.
 
 Sampling is without replacement and halts the moment ``target_n`` respondents
-are enrolled.  If the coupon queue drains first, a fresh seed can be drawn
+are enrolled.  If the coupons run out first, a fresh seed can be drawn
 from the never-offered nodes (a reseed), otherwise the sample returns short
 with ``exhausted`` set.
 
@@ -24,16 +24,21 @@ All behavioral deviations are identity by default, giving the classical
 process where every coupon is passed, recruits are chosen uniformly among
 eligible neighbors, and everybody responds.
 
-`run_rds` resolves coupons from Python lists built once per call (`_Tables`):
-each node's degree and group, the pass and response probabilities by group
-and degree, and the factors of `recruitment_weight`.  Its uniforms come in
-blocks (`_Uniforms`), so the per-coupon loop makes no numpy call beyond
-slicing the holder's adjacency row.  When every weight factor is 1 it picks
-``eligible[int(u * k)]``, which is the candidate the cumulative walk over k
-unit weights would reach.  Either way the random draws (pass, pick,
-response, reseed) come in the same order and number, so a seed gives the
-sample that a loop calling ``rng.random()`` and `recruitment_weight` for
-each candidate would draw.
+`run_rds` queues respondents, not coupons, and as they spend their coupons
+in enrolment order the queue is the sample itself, walked by a cursor.  A
+holder's coupons were issued together, so they come back to back, and
+between two of them only the holder's own pick changes any node's state:
+one inner loop filters and weighs the candidates once for all of them and
+deletes each pick from both lists.  Once no candidate is left, the
+remaining coupons expire without a draw.
+
+The loop reads Python lists built once per call (`_Tables`) and draws its
+uniforms in blocks (`_Uniforms`).  With unit weights it picks
+``eligible[int(u * k)]``, where the cumulative walk would stop; otherwise
+the walk's last running sum is the total, not ``sum()``, which compensates
+rounding from Python 3.12 on.  The draws (pass, pick, response, reseed)
+come in the order and number of a loop calling ``rng.random()`` and
+`recruitment_weight` for each candidate, so a seed gives its sample.
 
 `run_rds` appends each enrolment to plain lists and builds the columns of
 its `Sample` once, recruiter positions included; a sample built from records
@@ -43,8 +48,9 @@ or read from a file resolves those positions on first use.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
-from itertools import chain
+from itertools import accumulate, chain
 from operator import length_hint
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
@@ -505,74 +511,67 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     indptr, indices = net.indptr, net.indices
     coupons, target_n = config.coupons_per_respondent, config.target_n
     state = bytearray(net.n_nodes)
-    # One entry per enrolment, recruiters by sample position; the queue holds
-    # each coupon's holder by sample position too.
+    # One entry per enrolment, recruiters by sample position.
     nodes, recruiters, waves = [], [], []
-    queue: deque[int] = deque()
     expired = nonresp = 0
 
     def enroll(node: int, recruiter: int, wave: int) -> None:
         state[node] = _SAMPLED
-        queue.extend([len(nodes)] * coupons)
         nodes.append(node)
         recruiters.append(recruiter)
         waves.append(wave)
 
-    exhausted = False
     for node in select_seeds(net, config.seed_rule, config.n_seeds, rng):
         enroll(node, -1, 0)
         if len(nodes) >= target_n:
             break
     n_seeds = len(nodes)  # respondents without a recruiter after these are reseeds
 
+    position = 0  # the next holder; the ones before it have spent all their coupons
     while len(nodes) < target_n:
-        if not queue:
+        if position == len(nodes):
             if not config.reseed_on_die_out:
-                exhausted = True
                 break
             untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
             uniforms.sync()
             try:
                 node = _draw_seeds(net, config.seed_rule, 1, rng, untouched)[0]
             except SamplingError:
-                exhausted = True
                 break
             enroll(node, -1, 0)
             continue
-        position = queue.popleft()
         holder = nodes[position]
         eligible = [
             v for v in indices[indptr[holder] : indptr[holder + 1]].tolist() if not state[v]
         ]
-        if not eligible:
-            expired += 1
-            continue
-        if random() >= pass_prob[infected[holder]][degrees[holder]]:
-            expired += 1
-            continue
-        if uniform:
-            # Running sums of 1.0 are exact integers, so the cumulative walk
-            # below would stop at index int(u * k).
-            chosen = eligible[int(random() * len(eligible))]
-        else:
-            weights = weights_of(holder, eligible)
-            total = sum(weights)
-            if total <= 0.0:
+        weights = None if uniform else weights_of(holder, eligible)
+        p_pass = pass_prob[infected[holder]][degrees[holder]]
+        for left in range(coupons, 0, -1):
+            if not eligible:
+                expired += left
+                break
+            if random() >= p_pass:
                 expired += 1
                 continue
-            r = random() * total
-            acc = 0.0
-            chosen = eligible[-1]
-            for v, w in zip(eligible, weights):
-                acc += w
-                if r < acc:
-                    chosen = v
+            if uniform:
+                j = int(random() * len(eligible))
+            else:
+                cumulative = list(accumulate(weights))
+                if cumulative[-1] <= 0.0:
+                    expired += 1
+                    continue
+                # The first running sum above the target, else the last candidate.
+                j = min(bisect_right(cumulative, random() * cumulative[-1]), len(eligible) - 1)
+                del weights[j]
+            chosen = eligible.pop(j)
+            if random() < response_prob[infected[chosen]][degrees[chosen]]:
+                enroll(chosen, position, waves[position] + 1)
+                if len(nodes) >= target_n:
                     break
-        if random() < response_prob[infected[chosen]][degrees[chosen]]:
-            enroll(chosen, position, waves[position] + 1)
-        else:
-            state[chosen] = _REFUSED
-            nonresp += 1
+            else:
+                state[chosen] = _REFUSED
+                nonresp += 1
+        position += 1
 
     node_id = np.array(nodes, dtype=np.int64)
     recruiter_pos = np.array(recruiters, dtype=np.int64)
@@ -582,7 +581,8 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                np.where(seed, -1, node_id[recruiter_pos]), waves, reseed)
     # Every respondent got the same coupons, and each recruit used one.
     counts = EventCounts(len(nodes) * coupons, int(np.count_nonzero(~seed)), expired, nonresp)
-    return Sample._from_columns(columns, counts, exhausted, recruiter_pos)
+    # The loop only stops short of target_n when no holder or reseed is left.
+    return Sample._from_columns(columns, counts, len(nodes) < target_n, recruiter_pos)
 
 
 _SAMPLE_COLUMNS = "order node_id degree infected recruiter_id wave reseed"

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import math
+import tracemalloc
+from collections import deque
+from itertools import accumulate
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -28,7 +33,11 @@ from rdslab import (
     save_sample,
     select_seeds,
 )
-from rdslab.sampler import _degree_ramp, _pps_index, _seed_pool, _Tables, _Uniforms
+import rdslab.sampler as sampler_module
+from rdslab.sampler import (
+    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _pps_index, _seed_pool, _Tables,
+    _Uniforms,
+)
 
 
 def star_network(leaves: int = 9) -> Network:
@@ -474,6 +483,69 @@ class TestRunRds:
         result = stats.chisquare(counts[1:])
         assert result.pvalue > 0.001
 
+    @staticmethod
+    def _first_recruit(monkeypatch, weight: float, pick: float) -> int:
+        # The centre of a ten-leaf star recruits with one coupon; every leaf
+        # weighs ``weight`` and the pick's uniform is ``pick``.
+        script = iter([0.0, pick, 0.0])  # pass, pick, response
+        monkeypatch.setattr(sampler_module, "_Uniforms",
+                            lambda rng: SimpleNamespace(next=script.__next__))
+        s = run_rds(star_network(10), SamplingConfig(
+            n_seeds=1,
+            seed_rule=SeedRule.uniform_highest(1),
+            coupons_per_respondent=1,
+            target_n=2,
+            behavior=BehaviorConfig(candidate_degree_ramp=(weight, weight)),
+        ))
+        assert next(script, None) is None
+        assert s.node_id[0] == 0
+        return int(s.node_id[1])
+
+    def test_weighted_pick_total_is_the_running_sum(self, monkeypatch):
+        # Ten weights of 0.1 run up to 0.9999999999999999, while a compensated
+        # sum (Python 3.12's sum(), or fsum) gives 1.0.  The fifth running sum
+        # is exactly 0.5, so a pick uniform of 0.5 stops at the fifth leaf
+        # against the running total and would stop at the sixth against 1.0.
+        weights = [0.1] * 10
+        assert list(accumulate(weights))[4] == 0.5
+        assert list(accumulate(weights))[-1] < math.fsum(weights) == 1.0
+        assert self._first_recruit(monkeypatch, 0.1, 0.5) == 5
+
+    def test_weighted_pick_at_the_total_takes_the_last(self, monkeypatch):
+        # Doubles near a subnormal total are spaced so coarsely that the
+        # largest uniform times the total rounds back to the total, which no
+        # running sum exceeds: the walk ends on the last candidate.
+        u = float(np.nextafter(1.0, 0.0))
+        assert u * (10 * 5e-324) == 10 * 5e-324
+        assert self._first_recruit(monkeypatch, 5e-324, u) == 10
+        assert self._first_recruit(monkeypatch, 5e-324, 0.0) == 1
+
+    @pytest.mark.parametrize("reseed", [False, True])
+    def test_many_coupons_cost_no_memory(self, reseed):
+        # A path of four nodes and a separate edge, identity behaviour: each
+        # holder recruits its eligible neighbours and its other coupons
+        # expire at once, so a million coupons per respondent allocate
+        # nothing per coupon.
+        net = Network(np.ones(6, dtype=bool), np.array([[0, 1], [1, 2], [2, 3], [4, 5]]))
+        coupons = 10**6
+        cfg = SamplingConfig(n_seeds=1, coupons_per_respondent=coupons, target_n=6,
+                             reseed_on_die_out=reseed, rng_seed=3)
+        run_rds(net, cfg)  # the first call in a process may still import numpy.random
+        tracemalloc.start()
+        try:
+            s = run_rds(net, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        c = s.counts
+        assert c.coupons_issued == s.size * coupons
+        assert c.coupons_used == s.size - 1 - s.reseed_count
+        assert c.coupons_resolved <= c.coupons_issued
+        # A run that dies out has spent every coupon; one that reaches
+        # target_n leaves the last holder's later coupons unspent.
+        assert (c.coupons_resolved == c.coupons_issued) == s.exhausted == (not reseed)
+        assert peak < 2**16
+
     def test_infected_preference_raises_infected_share(self):
         # Doubling the infected-candidate weight must raise the infected
         # share of the sample on the same network.
@@ -705,3 +777,195 @@ class TestPinnedSampleBytes:
         spec, cfg, _ = PINNED_SAMPLES["desk_behavior_other_seed"]
         _, s = _sample_sha256(generate_network(spec), cfg, tmp_path / "s.txt")
         assert s.reseed_count > 0 and s.counts.nonresponses > 0
+
+
+# --------------------------------------------------------------------------
+# Coupon-major loop reference: `run_rds` as it was written before it queued
+# respondents.  Each enrolment pushes one queue entry per coupon, and every
+# entry re-slices, re-filters and re-weighs its holder's candidates.  The
+# only edit is the weighted pick's total, a plain left-to-right running sum
+# as `sum()` gave it before Python 3.12.  The respondent-major loop must
+# give the same sample bytes and tallies; the reference also reports which
+# paths its run took.
+
+def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, set[str]]:
+    rng = np.random.default_rng(config.rng_seed)
+    uniforms = _Uniforms(rng)
+    random = uniforms.next
+    tables = _Tables(net, config.behavior)
+    degrees, infected = tables.degrees, tables.infected
+    indptr, indices = net.indptr, net.indices
+    coupons, target_n = config.coupons_per_respondent, config.target_n
+    state = bytearray(net.n_nodes)
+    nodes, recruiters, waves = [], [], []
+    queue: deque[int] = deque()
+    expired = nonresp = 0
+    paths: set[str] = set()
+
+    def enroll(node: int, recruiter: int, wave: int) -> None:
+        state[node] = _SAMPLED
+        queue.extend([len(nodes)] * coupons)
+        nodes.append(node)
+        recruiters.append(recruiter)
+        waves.append(wave)
+
+    exhausted = False
+    for node in select_seeds(net, config.seed_rule, config.n_seeds, rng):
+        enroll(node, -1, 0)
+        if len(nodes) >= target_n:
+            break
+    n_seeds = len(nodes)
+
+    while len(nodes) < target_n:
+        if not queue:
+            if not config.reseed_on_die_out:
+                exhausted = True
+                break
+            untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
+            uniforms.sync()
+            try:
+                node = _draw_seeds(net, config.seed_rule, 1, rng, untouched)[0]
+            except SamplingError:
+                exhausted = True
+                break
+            paths.add("reseed")
+            enroll(node, -1, 0)
+            continue
+        position = queue.popleft()
+        holder = nodes[position]
+        eligible = [
+            v for v in indices[indptr[holder] : indptr[holder + 1]].tolist() if not state[v]
+        ]
+        if not eligible:
+            expired += 1
+            continue
+        if random() >= tables.pass_prob[infected[holder]][degrees[holder]]:
+            expired += 1
+            continue
+        if tables.uniform:
+            chosen = eligible[int(random() * len(eligible))]
+        else:
+            weights = tables.weights(holder, eligible)
+            total = 0.0
+            for w in weights:
+                total += w
+            if total <= 0.0:
+                paths.add("zero_total")
+                expired += 1
+                continue
+            r = random() * total
+            acc = 0.0
+            chosen = eligible[-1]
+            for v, w in zip(eligible, weights):
+                acc += w
+                if r < acc:
+                    chosen = v
+                    break
+        if random() < tables.response_prob[infected[chosen]][degrees[chosen]]:
+            enroll(chosen, position, waves[position] + 1)
+            if len(nodes) >= target_n and queue and queue[0] == position:
+                paths.add("target_between_coupons")
+        else:
+            state[chosen] = _REFUSED
+            nonresp += 1
+
+    if exhausted:
+        paths.add("exhausted")
+    records = [
+        RespondentRecord(node, degrees[node], infected[node],
+                         None if rec < 0 else nodes[rec], wave, rec < 0 and i >= n_seeds)
+        for i, (node, rec, wave) in enumerate(zip(nodes, recruiters, waves))
+    ]
+    used = sum(rec >= 0 for rec in recruiters)
+    counts = EventCounts(len(nodes) * coupons, used, expired, nonresp)
+    return Sample(records, counts, exhausted), paths
+
+
+_SEED_RULES = [SeedRule.pps_degree(), SeedRule.infected_only_pps(), SeedRule.uniform_lowest(15),
+               SeedRule.uniform_highest(8)]
+# Every weight 0 (the ramp) or every weight of one recruiter group 0.
+_ZERO_WEIGHTS = [
+    BehaviorConfig(candidate_degree_ramp=(0.0, 0.0), pass_prob_uninfected=0.7),
+    BehaviorConfig(own_group_weight_uninfected=0.0, infected_candidate_weight=0.0,
+                   response_prob_infected=0.6),
+]
+
+
+@st.composite
+def referral_cases(draw) -> tuple[Network, SamplingConfig]:
+    # Random graphs from sparse (many isolates and small components) to
+    # dense, with a random infected share.
+    n_nodes = draw(st.integers(12, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    mean_degree = draw(st.sampled_from([0.8, 2.0, 5.0, 12.0]))
+    edges = np.argwhere(np.triu(rng.random((n_nodes, n_nodes)) < mean_degree / n_nodes, 1))
+    net = Network(rng.random(n_nodes) < draw(st.sampled_from([0.2, 0.5])), edges)
+    n_seeds = draw(st.integers(1, 5))
+    config = SamplingConfig(
+        n_seeds=n_seeds,
+        seed_rule=draw(st.sampled_from(_SEED_RULES)),
+        coupons_per_respondent=draw(st.integers(0, 3)),
+        target_n=draw(st.integers(n_seeds, n_nodes + 5)),
+        behavior=draw(st.just(BehaviorConfig()) | st.sampled_from(_ZERO_WEIGHTS) | behaviors()),
+        reseed_on_die_out=draw(st.booleans()),
+        rng_seed=draw(st.integers(0, 2**32)),
+    )
+    return net, config
+
+
+def _sample_bytes(run, net: Network, config: SamplingConfig, path):
+    """``save_sample`` bytes and tallies of one run, or the error it raised."""
+    try:
+        s = run(net, config)
+    except SamplingError as err:
+        return "SamplingError", str(err)
+    save_sample(s, path)
+    return path.read_bytes(), s.counts
+
+
+def _reference_sample(net: Network, config: SamplingConfig) -> Sample:
+    return _reference_run_rds(net, config)[0]
+
+
+# Fixed cases, each taking the path it is named after.
+_PATH_CASES = {
+    "reseed": (NetworkSpec(n_nodes=200, n_infected=40, mean_degree=1.5, rng_seed=1),
+               SamplingConfig(n_seeds=2, coupons_per_respondent=2, target_n=120, rng_seed=2,
+                              behavior=BehaviorConfig(pass_prob_uninfected=0.5))),
+    "exhausted": (NetworkSpec(n_nodes=200, n_infected=40, mean_degree=2.0, rng_seed=3),
+                  SamplingConfig(n_seeds=3, coupons_per_respondent=1, target_n=150, rng_seed=4,
+                                 reseed_on_die_out=False, behavior=_DESK_BEHAVIOR)),
+    "zero_total": (NetworkSpec(n_nodes=120, n_infected=30, rng_seed=5),
+                   SamplingConfig(n_seeds=4, coupons_per_respondent=3, target_n=60, rng_seed=6,
+                                  behavior=_ZERO_WEIGHTS[1])),
+    "target_between_coupons": (NetworkSpec(n_nodes=150, n_infected=30, mean_degree=9.0,
+                                           rng_seed=7),
+                               SamplingConfig(n_seeds=2, coupons_per_respondent=3, target_n=40,
+                                              rng_seed=8, behavior=_DESK_BEHAVIOR)),
+}
+
+
+class TestRespondentMajorLoopMatchesReference:
+    @settings(max_examples=120)
+    @given(case=referral_cases())
+    def test_same_sample_bytes_and_counts(self, tmp_path_factory, case):
+        net, config = case
+        path = tmp_path_factory.mktemp("sample") / "sample.txt"
+        expected = _sample_bytes(_reference_sample, net, config, path)
+        assert _sample_bytes(run_rds, net, config, path) == expected
+
+    @pytest.mark.parametrize("name", sorted(_PATH_CASES))
+    def test_path_cases(self, tmp_path, name):
+        spec, config = _PATH_CASES[name]
+        net = generate_network(spec)
+        assert name in _reference_run_rds(net, config)[1]
+        expected = _sample_bytes(_reference_sample, net, config, tmp_path / "sample.txt")
+        assert _sample_bytes(run_rds, net, config, tmp_path / "sample.txt") == expected
+
+    @pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
+    def test_reference_gives_pinned_bytes(self, tmp_path, case):
+        # The reference itself reproduces the recorded digests.
+        spec, cfg, digest = PINNED_SAMPLES[case]
+        reference, _ = _reference_run_rds(generate_network(spec), cfg)
+        save_sample(reference, tmp_path / "reference.txt")
+        assert hashlib.sha256((tmp_path / "reference.txt").read_bytes()).hexdigest() == digest
