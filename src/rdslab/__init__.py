@@ -41,13 +41,11 @@ from .sampler import (
 )
 from .estimators import (
     CrossGroupCounts,
-    DegreeGroupChain,
     DegreeGroups,
     EstimateSet,
     SsOptions,
     adjusted_degree,
     cross_group_counts,
-    degree_group_chain,
     degree_group_transition_matrix,
     equilibrium_distribution,
     estimate_all,

@@ -18,50 +18,39 @@ import dataclasses
 import json
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import yaml
 
 from .errors import ConfigError, RdslabError
 from .errors import as_bool, as_float, as_int, as_str, read_text
-from .estimators import EstimateSet, SsOptions
 from .harness import (
     Condition,
     ReplicationRow,
     ReplicationTable,
-    check_label,
     csv_lines,
     export_csv,
     load_replication_csv,
     run_condition,
     summarize,
 )
-from .netgen import NetworkSpec, generate_network, load_network, save_network
-from .sampler import SamplingConfig, load_sample, run_rds, save_sample
+from .netgen import generate_network, load_network, save_network
+from .sampler import load_sample, run_rds, save_sample
 
 __all__ = ["RunConfig", "parse_config", "read_config", "dispatch", "main"]
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Fully defaulted view of a configuration document."""
+class RunConfig(Condition):
+    """Fully defaulted view of a configuration document.
+
+    It is the `Condition` that ``experiment`` runs; only ``estimate`` reads
+    ``population_size``.
+    """
 
     label: str = "experiment"
-    network: NetworkSpec = field(default_factory=NetworkSpec)
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
     population_size: Optional[int] = None
-    mean_cell_size: int = 12
-    ss_options: SsOptions = field(default_factory=SsOptions)
-    replications: int = 300
-    base_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_label(self.label)
-        if self.mean_cell_size < 1:
-            raise ConfigError(f"estimation.mean_cell_size must be >= 1, got {self.mean_cell_size}")
-        if self.replications < 1:
-            raise ConfigError(f"experiment.replications must be >= 1, got {self.replications}")
 
 
 # The YAML sections that hold RunConfig's flat fields: section -> {key: field}.
@@ -232,16 +221,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _estimates_as_table(config: RunConfig, sample, estimates: EstimateSet) -> ReplicationTable:
-    row = ReplicationRow(
-        replication=0,
-        estimates=estimates,
-        realized_n=sample.size,
-        reseeds=sample.reseed_count,
-    )
-    return ReplicationTable(label=config.label, base_seed=config.base_seed, rows=[row])
-
-
 def _cmd_estimate(args) -> int:
     from .estimators import estimate_all
 
@@ -260,7 +239,8 @@ def _cmd_estimate(args) -> int:
     estimates = estimate_all(
         sample, population_size=population, mean_cell_size=cell, ss_options=ss_options
     )
-    table = _estimates_as_table(config, sample, estimates)
+    row = ReplicationRow(0, estimates, realized_n=sample.size, reseeds=sample.reseed_count)
+    table = ReplicationTable(config.label, config.base_seed, [row])
     if args.out:
         export_csv(table, args.out)
         print(f"wrote {args.out}")
@@ -278,15 +258,8 @@ def _cmd_experiment(args) -> int:
             f"({config.network.n_nodes}) for experiment, got {config.population_size}"
         )
     _echo_config(config)
-    condition = Condition(
-        label=config.label,
-        network=config.network,
-        sampling=config.sampling,
-        mean_cell_size=config.mean_cell_size,
-        ss_options=config.ss_options,
-        replications=args.reps if args.reps is not None else config.replications,
-        base_seed=args.seed if args.seed is not None else config.base_seed,
-    )
+    flags = {"replications": args.reps, "base_seed": args.seed}
+    condition = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
     table = run_condition(condition)
     replications_path = f"{args.out}_replications.csv"
     summary_path = f"{args.out}_summary.csv"

@@ -27,6 +27,7 @@ loop adds, where ``np.sum``'s pairwise order would move the last bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -67,8 +68,13 @@ EMPTY_SAMPLE = "empty_sample"
 EMPTY_GROUP = "empty_group"
 ZERO_DEGREE = "zero_degree"
 
-#: Exact enumeration of successive sampling is feasible up to this many units.
+#: ``auto`` enumerates successive sampling exactly up to this many units.
 ENUMERATION_LIMIT = 12
+
+#: ``enumerate`` refuses a composition with more draw states (the product of
+#: count + 1 over classes) or more draws (its recursion depth) than these.
+ENUMERATION_MAX_STATES = 100_000
+ENUMERATION_MAX_DRAWS = 500
 
 #: Newton steps allowed in `_asymptotic_inclusion`; each step from below
 #: advances t by about 1 / (typical surviving degree), so even sampling
@@ -153,6 +159,8 @@ class SsOptions:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mc_replications < 1:
             raise ConfigError(f"mc_replications must be >= 1, got {self.mc_replications}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _check_composition(degrees: np.ndarray, counts: np.ndarray, draws: int) -> None:
@@ -173,6 +181,12 @@ def _enumerated_inclusion(degrees: np.ndarray, counts: np.ndarray, draws: int) -
     k = degrees.size
     if draws >= int(counts.sum()):  # census: every unit is drawn
         return np.ones(k)
+    states = math.prod(int(c) + 1 for c in counts)
+    if states > ENUMERATION_MAX_STATES or draws > ENUMERATION_MAX_DRAWS:
+        raise ConfigError(
+            f"ss method 'enumerate' cannot take {draws} draws over {states} states (limits "
+            f"{ENUMERATION_MAX_DRAWS} and {ENUMERATION_MAX_STATES}); use auto or monte_carlo"
+        )
     degs = degrees.tolist()
     memo: dict[tuple[int, ...], tuple[float, ...]] = {}
 
@@ -277,10 +291,19 @@ def _asymptotic_inclusion(
     return included
 
 
-def _resolve_method(method: str, population_size: int) -> str:
-    if method == "auto":
-        return "enumerate" if population_size <= ENUMERATION_LIMIT else "asymptotic"
-    return method
+def _inclusion_map(options: SsOptions, population_size: int):
+    """``(degrees, counts, draws) -> pi`` for ``options.method`` and N units.
+
+    ``monte_carlo`` binds one frozen block of exponential draws, so every
+    call over the same N races the same clocks.
+    """
+    if options.method == "monte_carlo":
+        rng = np.random.default_rng(options.rng_seed)
+        block = rng.standard_exponential((options.mc_replications, population_size))
+        return functools.partial(_race_inclusion, block)
+    if options.method == "enumerate" or population_size <= ENUMERATION_LIMIT:
+        return _enumerated_inclusion
+    return _asymptotic_inclusion
 
 
 def ss_probabilities(
@@ -295,16 +318,7 @@ def ss_probabilities(
     degrees = np.array(sorted(population_counts), dtype=np.int64)
     counts = np.array([population_counts[d] for d in degrees.tolist()], dtype=np.int64)
     _check_composition(degrees, counts, draws)
-    n_units = int(counts.sum())
-    method = _resolve_method(options.method, n_units)
-    if method == "enumerate":
-        pi = _enumerated_inclusion(degrees, counts, draws)
-    elif method == "asymptotic":
-        pi = _asymptotic_inclusion(degrees, counts, draws)
-    else:
-        rng = np.random.default_rng(options.rng_seed)
-        block = rng.standard_exponential((options.mc_replications, n_units))
-        pi = _race_inclusion(block, degrees, counts, draws)
+    pi = _inclusion_map(options, int(counts.sum()))(degrees, counts, draws)
     return dict(zip(degrees.tolist(), pi.tolist()))
 
 
@@ -339,20 +353,15 @@ def _ss_fixed_point(
         raise ConfigError(
             f"sample size {draws} exceeds population size {population_size}"
         )
-    method = _resolve_method(options.method, population_size)
-    block: Optional[np.ndarray] = None
-    if method == "monte_carlo":
-        rng = np.random.default_rng(options.rng_seed)
-        block = rng.standard_exponential((options.mc_replications, population_size))
-
+    inclusion = _inclusion_map(options, population_size)
     estimated = sample_counts * (population_size / sample_counts.sum())
     previous: Optional[np.ndarray] = None
     pi = np.ones_like(sample_counts)
     seen: dict[tuple[int, ...], int] = {}
     history: list[np.ndarray] = []
     for _ in range(options.max_iterations):
-        if method == "asymptotic":
-            pi = _asymptotic_inclusion(degrees, estimated, draws)
+        if inclusion is _asymptotic_inclusion:  # takes the real-valued composition
+            pi = inclusion(degrees, estimated, draws)
         else:
             composition = _integer_composition(estimated, population_size)
             key = tuple(composition.tolist())
@@ -362,10 +371,7 @@ def _ss_fixed_point(
                 # straddle the continuous fixed point).  The cycle average is
                 # the limit of the damped iteration; return it.
                 return np.mean(history[seen[key] :], axis=0)
-            if method == "enumerate":
-                pi = _enumerated_inclusion(degrees, composition, draws)
-            else:
-                pi = _race_inclusion(block, degrees, composition, draws)
+            pi = inclusion(degrees, composition, draws)
             seen[key] = len(history)
             history.append(pi)
         if previous is not None and float(np.max(np.abs(pi - previous))) < options.tolerance:
@@ -641,39 +647,6 @@ def rcd_values(
     return per_group[groups.group_index]
 
 
-@dataclass(frozen=True, eq=False)
-class DegreeGroupChain:
-    """Recruitment chain over degree groups, solved to equilibrium.
-
-    `transition` holds the row-stochastic matrix of recruitments between
-    degree groups, `equilibrium` its stationary distribution, and `rcd`
-    the per-respondent ratio of equilibrium share to observed share for
-    the respondent's group.  `patched` reports rows that had to be filled
-    with the marginal recruit distribution, `unstable` a reducible or
-    absorbing chain.
-    """
-
-    transition: np.ndarray
-    equilibrium: np.ndarray
-    rcd: np.ndarray
-    patched: bool = False
-    unstable: bool = False
-
-
-def degree_group_chain(sample: Sample, groups: DegreeGroups) -> DegreeGroupChain:
-    """Build the recruitment chain for a degree partition of a sample."""
-    matrix, patched = degree_group_transition_matrix(sample, groups)
-    equilibrium, unstable = equilibrium_distribution(matrix)
-    rcd = rcd_values(sample, groups, equilibrium)
-    return DegreeGroupChain(
-        transition=matrix,
-        equilibrium=equilibrium,
-        rcd=rcd,
-        patched=patched,
-        unstable=unstable,
-    )
-
-
 def adjusted_degree(sample: Sample, rcd: np.ndarray, infected: bool) -> float:
     """Recruitment-adjusted mean degree of one infection group.
 
@@ -694,11 +667,13 @@ def _h_components(sample: Sample, mean_cell_size: int) -> tuple[float, bool, boo
     c_iu = counts.proportion_infected_to_uninfected()
     c_ui = counts.proportion_uninfected_to_infected()
     groups = partition_degree_groups(sample, mean_cell_size)
-    chain = degree_group_chain(sample, groups)
-    adj_infected = adjusted_degree(sample, chain.rcd, True)
-    adj_uninfected = adjusted_degree(sample, chain.rcd, False)
+    matrix, patched = degree_group_transition_matrix(sample, groups)
+    equilibrium, unstable = equilibrium_distribution(matrix)
+    rcd = rcd_values(sample, groups, equilibrium)
+    adj_infected = adjusted_degree(sample, rcd, True)
+    adj_uninfected = adjusted_degree(sample, rcd, False)
     value = _balance_ratio(c_iu, c_ui, adj_infected, adj_uninfected)
-    return float(value), chain.patched, chain.unstable
+    return float(value), patched, unstable
 
 
 def h_estimate(sample: Sample, mean_cell_size: int = 12) -> float:

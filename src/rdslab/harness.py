@@ -39,7 +39,6 @@ __all__ = [
     "run_condition",
     "summarize",
     "paired_difference_test",
-    "check_label",
     "csv_lines",
     "export_csv",
     "load_replication_csv",
@@ -73,17 +72,13 @@ SUMMARY_COLUMNS = (
 MISSING = "NA"
 
 
-def check_label(label: str) -> None:
-    """Reject a label that `csv_lines` could not write as one bare CSV cell."""
-    if any(c in label for c in ',"\r\n'):
-        raise ConfigError(
-            f"label must not contain a comma, a double quote, CR or LF, got {label!r}"
-        )
-
-
 @dataclass(frozen=True)
 class Condition:
-    """One experimental cell: everything needed to run its replications."""
+    """One experimental cell: everything needed to run its replications.
+
+    The label is written as one bare CSV cell, so it must be nonempty and
+    free of commas, double quotes, CR and LF.
+    """
 
     label: str
     network: NetworkSpec = field(default_factory=NetworkSpec)
@@ -96,9 +91,16 @@ class Condition:
     def __post_init__(self) -> None:
         if not self.label:
             raise ConfigError("condition label must be nonempty")
-        check_label(self.label)
+        if any(c in self.label for c in ',"\r\n'):
+            raise ConfigError(
+                f"label must not contain a comma, a double quote, CR or LF, got {self.label!r}"
+            )
+        if self.mean_cell_size < 1:
+            raise ConfigError(f"mean_cell_size must be >= 1, got {self.mean_cell_size}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be >= 0, got {self.base_seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,7 +126,6 @@ class SummaryRow:
     count_one: int
     count_fail: int
     n_reps: int
-    mean_excluding_ones: float
 
 
 @dataclass
@@ -181,8 +182,7 @@ def run_condition(condition: Condition) -> ReplicationTable:
 def summarize(table: ReplicationTable) -> ConditionSummary:
     """Per-estimator moments over successful rows, plus failure tallies.
 
-    Variance is the sample variance (n-1 denominator).  The mean excluding
-    estimate-equal-one rows is carried on the summary rows but not exported.
+    Variance is the sample variance (n-1 denominator).
     """
     out = []
     n_reps = len(table.rows)
@@ -196,8 +196,6 @@ def summarize(table: ReplicationTable) -> ConditionSummary:
         mean = float(arr.mean()) if arr.size else float("nan")
         variance = float(arr.var(ddof=1)) if arr.size > 1 else float("nan")
         ones = int((arr == 1.0).sum())
-        not_one = arr[arr != 1.0]
-        mean_excl = float(not_one.mean()) if not_one.size else float("nan")
         out.append(
             SummaryRow(
                 estimator=name,
@@ -206,7 +204,6 @@ def summarize(table: ReplicationTable) -> ConditionSummary:
                 count_one=ones,
                 count_fail=n_reps - arr.size,
                 n_reps=n_reps,
-                mean_excluding_ones=mean_excl,
             )
         )
     return ConditionSummary(label=table.label, rows=out)

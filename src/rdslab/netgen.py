@@ -72,6 +72,8 @@ class NetworkSpec:
             raise ConfigError(
                 f"differential_activity must be > 0, got {self.differential_activity}"
             )
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

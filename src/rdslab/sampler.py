@@ -217,6 +217,8 @@ class SamplingConfig:
             raise ConfigError(
                 f"target_n must be >= n_seeds, got {self.target_n} < {self.n_seeds}"
             )
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass(frozen=True)

@@ -3,17 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rdslab
 from rdslab import (
     Condition,
     ConfigError,
@@ -193,6 +197,27 @@ def test_import_leaves_scipy_stats_unloaded():
     assert done.stdout.strip() == "False"
 
 
+def test_public_surface_is_listed():
+    # Every name a module lists in __all__ exists, and the package root
+    # re-exports only names that their defining module lists.
+    listed = {}
+    for info in pkgutil.iter_modules(rdslab.__path__):
+        module = importlib.import_module(f"rdslab.{info.name}")
+        if hasattr(module, "__all__"):
+            listed[module.__name__] = module.__all__
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert not missing, f"{module.__name__}.__all__ lists missing names {missing}"
+    assert set(listed) >= {"rdslab.netgen", "rdslab.sampler", "rdslab.estimators",
+                           "rdslab.harness", "rdslab.cli"}
+    unlisted = [
+        name for name, value in vars(rdslab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        and getattr(value, "__module__", None) in listed
+        and name not in listed[value.__module__]
+    ]
+    assert not unlisted, f"rdslab re-exports names their modules do not list: {unlisted}"
+
+
 class TestExitCodes:
     def test_pipeline_returns_zero(self, tmp_path, config_path):
         net = tmp_path / "net.txt"
@@ -262,7 +287,7 @@ class TestExitCodes:
         assert f"{net}:1" in payload["message"]
         assert not any("Traceback" in line for line in err)
 
-    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb"])
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"', "a\rb", "a\nb", ""])
     def test_csv_unsafe_label_is_one_json_line(self, tmp_path, capsys, label):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(f"label: {json.dumps(label)}\n" + BASE_YAML.split("\n", 1)[1])
@@ -277,6 +302,35 @@ class TestExitCodes:
         assert not (tmp_path / "x_replications.csv").exists()
         with pytest.raises(ConfigError, match="label"):
             Condition(label=label)
+
+    @pytest.mark.parametrize("command,yaml_line,flags,named", [
+        ("gen", "", ["--seed", "-1"], "rng_seed"),
+        ("sample", "", ["--seed", "-1"], "rng_seed"),
+        ("experiment", "", ["--seed", "-1"], "base_seed"),
+        ("gen", "network: {rng_seed: -3}", [], "network: rng_seed"),
+        ("sample", "sampling: {n_seeds: 4, target_n: 50, rng_seed: -3}", [],
+         "sampling: rng_seed"),
+        ("experiment", "estimation: {ss: {rng_seed: -3}}", [], "estimation.ss: rng_seed"),
+        ("experiment", "experiment: {base_seed: -3}", [], "base_seed"),
+    ], ids=["gen-flag", "sample-flag", "experiment-flag", "network-yaml", "sampling-yaml",
+            "ss-yaml", "experiment-yaml"])
+    def test_negative_seed_is_one_config_error(
+        self, tmp_path, capsys, command, yaml_line, flags, named
+    ):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{yaml_line}\n")
+        out = tmp_path / "out"
+        argv = {
+            "gen": ["gen", "--out", str(out)],
+            "sample": ["sample", "--network", str(tmp_path / "net.txt"), "--out", str(out)],
+            "experiment": ["experiment", "--out", str(out)],
+        }[command]
+        assert dispatch(argv + ["--config", str(cfg)] + flags) == 1
+        err = [json.loads(line) for line in capsys.readouterr().err.strip().splitlines()]
+        errors = [payload for payload in err if "error" in payload]
+        assert len(errors) == 1 and errors[0]["error"] == "config"
+        assert named in errors[0]["message"] and ">= 0" in errors[0]["message"]
+        assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("field,value", [
         ("own_group_weight_uninfected", ".inf"),

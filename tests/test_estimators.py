@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -46,7 +47,6 @@ from rdslab.estimators import (
     _ss_fixed_point,
     adjusted_degree,
     cross_group_counts,
-    degree_group_chain,
     degree_group_transition_matrix,
     equilibrium_distribution,
     harmonic_mean_degree,
@@ -224,6 +224,22 @@ class TestInclusionProbabilities:
         twelve, thirteen = {1: 8, 2: 4}, {1: 9, 2: 4}
         assert pi(twelve) == pi(twelve, "enumerate") != closed_form(twelve)
         assert pi(thirteen) == closed_form(thirteen) != pi(thirteen, "enumerate")
+
+    def test_enumerate_refuses_an_infeasible_composition(self):
+        # 1050 draws would recurse past Python's stack limit.
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="enumerate"):
+            ss_probabilities({1: 1100, 2: 5}, 1050, SsOptions(method="enumerate"))
+        assert time.perf_counter() - start < 0.5
+        # A 200-respondent sample of 1000 nodes spreads over many degree
+        # classes, so its estimated population has astronomically many states.
+        net = generate_network(NetworkSpec(rng_seed=3))
+        s = run_rds(net, SamplingConfig(target_n=200, rng_seed=3))
+        assert np.unique(s.degree).size > 10
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="enumerate"):
+            ss_estimate(s, 1000, SsOptions(method="enumerate"))
+        assert time.perf_counter() - start < 0.5
 
     def test_monte_carlo_deterministic_in_seed(self):
         opts = SsOptions(method="monte_carlo", mc_replications=2000, rng_seed=11)
@@ -468,27 +484,31 @@ class TestTransitionAndEquilibrium:
 
     def test_chain_bundles_all_pieces(self, golden):
         groups = partition_degree_groups(golden, mean_cell_size=2)
-        chain = degree_group_chain(golden, groups)
-        assert chain.transition.tolist() == [[0.0, 1.0], [1 / 3, 2 / 3]]
-        assert chain.equilibrium == pytest.approx([0.25, 0.75], abs=1e-10)
-        assert chain.rcd == pytest.approx(
+        transition, patched = degree_group_transition_matrix(golden, groups)
+        equilibrium, unstable = equilibrium_distribution(transition)
+        rcd = rcd_values(golden, groups, equilibrium)
+        assert transition.tolist() == [[0.0, 1.0], [1 / 3, 2 / 3]]
+        assert equilibrium == pytest.approx([0.25, 0.75], abs=1e-10)
+        assert rcd == pytest.approx(
             [0.75, 1.125, 1.125, 0.75, 1.125, 1.125], abs=1e-10
         )
-        assert not chain.patched
-        assert not chain.unstable
+        assert not patched
+        assert not unstable
 
     def test_chain_invariants_on_live_sample(self):
         net = generate_network(NetworkSpec(rng_seed=14))
         s = run_rds(net, SamplingConfig(
             seed_rule=SeedRule.pps_degree(), target_n=200, rng_seed=14))
         groups = partition_degree_groups(s, mean_cell_size=12)
-        chain = degree_group_chain(s, groups)
-        assert np.allclose(chain.transition.sum(axis=1), 1.0)
-        assert chain.equilibrium.sum() == pytest.approx(1.0, abs=1e-12)
-        assert (chain.equilibrium >= 0).all()
-        residual = chain.equilibrium @ chain.transition - chain.equilibrium
+        transition, _ = degree_group_transition_matrix(s, groups)
+        equilibrium, _ = equilibrium_distribution(transition)
+        rcd = rcd_values(s, groups, equilibrium)
+        assert np.allclose(transition.sum(axis=1), 1.0)
+        assert equilibrium.sum() == pytest.approx(1.0, abs=1e-12)
+        assert (equilibrium >= 0).all()
+        residual = equilibrium @ transition - equilibrium
         assert np.max(np.abs(residual)) < 1e-9
-        assert (chain.rcd > 0).all()
+        assert (rcd > 0).all()
 
 
 class TestHEstimator:

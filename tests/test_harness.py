@@ -128,6 +128,15 @@ class TestRunCondition:
         table = run_condition(SMALL)
         assert row == table.rows[2]
 
+    @pytest.mark.parametrize("field,value", [
+        ("mean_cell_size", 0),
+        ("replications", 0),
+        ("base_seed", -1),
+    ])
+    def test_invalid_condition_rejected_when_constructed(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            Condition(**{"label": "x", field: value})
+
 
 class TestSummarize:
     def test_hand_example(self):
@@ -151,7 +160,6 @@ class TestSummarize:
         assert naive.count_one == 1
         assert naive.count_fail == 1
         assert naive.mean == pytest.approx(0.7)
-        assert naive.mean_excluding_ones == pytest.approx(0.4)
 
     def test_empty_column_is_nan(self):
         rows = [ReplicationRow(0, EstimateSet(naive=0.2, vh=None, ss=None, sh=None, h=None,

@@ -17,6 +17,7 @@ from scipy import stats
 
 from rdslab import (
     BehaviorConfig,
+    Condition,
     ConfigError,
     EventCounts,
     Network,
@@ -26,13 +27,18 @@ from rdslab import (
     SamplingConfig,
     SamplingError,
     SeedRule,
+    SsOptions,
+    csv_lines,
     generate_network,
     load_sample,
     recruitment_weight,
+    run_condition,
     run_rds,
     save_sample,
     select_seeds,
+    summarize,
 )
+from rdslab.estimators import ENUMERATION_LIMIT
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
     _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _pps_index, _seed_pool, _Tables,
@@ -777,6 +783,79 @@ class TestPinnedSampleBytes:
         spec, cfg, _ = PINNED_SAMPLES["desk_behavior_other_seed"]
         _, s = _sample_sha256(generate_network(spec), cfg, tmp_path / "s.txt")
         assert s.reseed_count > 0 and s.counts.nonresponses > 0
+
+
+# Each case: a small condition, one per SS inclusion path, and the sha256 of
+# its replication and summary CSV lines as `run_condition` and `summarize`
+# produced them before the SS method dispatch was folded into one function.
+PINNED_EXPERIMENTS = {
+    "asymptotic": (
+        Condition(
+            "asymptotic",
+            network=NetworkSpec(differential_activity=1.8),
+            sampling=SamplingConfig(target_n=150),
+            replications=4,
+            base_seed=101,
+        ),
+        "cea712a2b047f0dfe09717a495c18b815370b496aca22bc0a71b5d2f56d472ed",
+        "cf4378a6db5154be5ea63aea0b2ded6ad52f6f461d4df114a888d69bab12cabd",
+    ),
+    "enumerate": (
+        Condition(
+            "enumerate",
+            network=NetworkSpec(n_nodes=12, n_infected=3, mean_degree=3.0),
+            sampling=SamplingConfig(n_seeds=2, target_n=6),
+            mean_cell_size=2,
+            replications=20,
+            base_seed=5,
+        ),
+        "0d9b4f92af3f3b565c040053110949f71226edfa1c1213d57c6052882fe8819d",
+        "474e3a0332159e8328da247c7e74ae8d1b684b2bce5f343577009d317cb0c6f4",
+    ),
+    "monte_carlo": (
+        Condition(
+            "monte_carlo",
+            network=NetworkSpec(n_nodes=300, n_infected=60),
+            sampling=SamplingConfig(target_n=60),
+            ss_options=SsOptions(method="monte_carlo", mc_replications=200),
+            replications=3,
+            base_seed=7,
+        ),
+        "7761069d3b1410e1e3a82606d36f27fc5c31b5395488277fc97de54cc71ddbc3",
+        "0559fe1bbf77f6af9b09267d3fe17de6faf2b076fdea080a1189b0f3c41a87a5",
+    ),
+    "weighted": (
+        Condition(
+            "weighted",
+            sampling=SamplingConfig(target_n=250, behavior=_DESK_BEHAVIOR),
+            replications=3,
+            base_seed=13,
+        ),
+        "7c9d2a38488c7e7b763bf4250e530ed41b08e976771d96b358814537371f4597",
+        "b32262e4be37e4b63630fbeef462c5fdd3357f8e90e8b103ca0209aacbcd9386",
+    ),
+}
+
+
+def _lines_sha256(table) -> str:
+    return hashlib.sha256(("\n".join(csv_lines(table)) + "\n").encode()).hexdigest()
+
+
+class TestPinnedExperimentBytes:
+    @pytest.mark.parametrize("case", sorted(PINNED_EXPERIMENTS))
+    def test_experiment_bytes_unchanged(self, case):
+        condition, replications_digest, summary_digest = PINNED_EXPERIMENTS[case]
+        table = run_condition(condition)
+        assert _lines_sha256(table) == replications_digest
+        assert _lines_sha256(summarize(table)) == summary_digest
+
+    def test_cases_cover_their_paths(self):
+        # `auto` enumerates up to ENUMERATION_LIMIT units and takes the
+        # closed form above it; the small case must also record failures.
+        assert PINNED_EXPERIMENTS["enumerate"][0].network.n_nodes <= ENUMERATION_LIMIT
+        assert PINNED_EXPERIMENTS["asymptotic"][0].network.n_nodes > ENUMERATION_LIMIT
+        table = run_condition(PINNED_EXPERIMENTS["enumerate"][0])
+        assert any(row.estimates.failures for row in table.rows)
 
 
 # --------------------------------------------------------------------------
