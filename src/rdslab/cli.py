@@ -150,6 +150,11 @@ def _echo_config(config: RunConfig) -> None:
     print(json.dumps({"effective_config": payload}, sort_keys=True), file=sys.stderr)
 
 
+def _with_flags(obj, **flags):
+    """``obj`` with every flag that was given (not None) replacing its field."""
+    return dataclasses.replace(obj, **{k: v for k, v in flags.items() if v is not None})
+
+
 class _Parser(argparse.ArgumentParser):
     # Route argparse's own failures through the config-error exit path.
     def error(self, message):
@@ -198,11 +203,9 @@ def _build_parser() -> _Parser:
 
 def _cmd_gen(args) -> int:
     config = read_config(args.config)
+    config = _with_flags(config, network=_with_flags(config.network, rng_seed=args.seed))
     _echo_config(config)
-    spec = config.network
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, rng_seed=args.seed)
-    net = generate_network(spec)
+    net = generate_network(config.network)
     save_network(net, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -210,12 +213,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sample(args) -> int:
     config = read_config(args.config)
+    config = _with_flags(config, sampling=_with_flags(config.sampling, rng_seed=args.seed))
     _echo_config(config)
-    sampling = config.sampling
-    if args.seed is not None:
-        sampling = dataclasses.replace(sampling, rng_seed=args.seed)
     net = load_network(args.network)
-    sample = run_rds(net, sampling)
+    sample = run_rds(net, config.sampling)
     save_sample(sample, args.out)
     print(f"wrote {args.out}")
     return 0
@@ -225,19 +226,23 @@ def _cmd_estimate(args) -> int:
     from .estimators import estimate_all
 
     config = read_config(args.config)
+    config = _with_flags(
+        config,
+        population_size=args.pop_size,
+        mean_cell_size=args.mean_cell_size,
+        ss_options=_with_flags(config.ss_options, rng_seed=args.seed),
+    )
     _echo_config(config)
     sample = load_sample(args.sample)
-    population = args.pop_size if args.pop_size is not None else config.population_size
-    if population is None:
+    if config.population_size is None:
         raise ConfigError(
             "population size required: pass --pop-size or set estimation.population_size"
         )
-    cell = args.mean_cell_size if args.mean_cell_size is not None else config.mean_cell_size
-    ss_options = config.ss_options
-    if args.seed is not None:
-        ss_options = dataclasses.replace(ss_options, rng_seed=args.seed)
     estimates = estimate_all(
-        sample, population_size=population, mean_cell_size=cell, ss_options=ss_options
+        sample,
+        population_size=config.population_size,
+        mean_cell_size=config.mean_cell_size,
+        ss_options=config.ss_options,
     )
     row = ReplicationRow(0, estimates, realized_n=sample.size, reseeds=sample.reseed_count)
     table = ReplicationTable(config.label, config.base_seed, [row])
@@ -257,10 +262,9 @@ def _cmd_experiment(args) -> int:
             f"estimation.population_size must be null or equal network.n_nodes "
             f"({config.network.n_nodes}) for experiment, got {config.population_size}"
         )
+    config = _with_flags(config, replications=args.reps, base_seed=args.seed)
     _echo_config(config)
-    flags = {"replications": args.reps, "base_seed": args.seed}
-    condition = dataclasses.replace(config, **{k: v for k, v in flags.items() if v is not None})
-    table = run_condition(condition)
+    table = run_condition(config)
     replications_path = f"{args.out}_replications.csv"
     summary_path = f"{args.out}_summary.csv"
     export_csv(table, replications_path)

@@ -30,7 +30,10 @@ holder's coupons were issued together, so they come back to back, and
 between two of them only the holder's own pick changes any node's state:
 one inner loop filters and weighs the candidates once for all of them and
 deletes each pick from both lists.  Once no candidate is left, the
-remaining coupons expire without a draw.
+remaining coupons expire without a draw.  A holder who passes with
+probability 0, or whose candidates all weigh 0, would spend one pass draw
+per coupon and change nothing, so its remaining coupons expire at once and
+the bit generator jumps over their draws (`_Uniforms.skip`).
 
 The loop reads Python lists built once per call (`_Tables`) and draws its
 uniforms in blocks (`_Uniforms`).  With unit weights it picks
@@ -50,7 +53,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from operator import length_hint
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Optional
@@ -493,6 +496,14 @@ class _Uniforms:
             self._current = iter(self._rng.random(self._BLOCK).tolist())
             yield self._current
 
+    def skip(self, count: int) -> None:
+        """Hand out the next ``count`` values unread, in O(1) beyond this block."""
+        left = length_hint(self._current)
+        deque(islice(self._current, count), maxlen=0)
+        if count > left:
+            # One double per bit-generator output: jump the rest.
+            self._rng.bit_generator.advance(count - left)
+
     def sync(self) -> None:
         unused = length_hint(self._current)
         if unused:
@@ -552,6 +563,10 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             if not eligible:
                 expired += left
                 break
+            if p_pass <= 0.0:
+                uniforms.skip(left)
+                expired += left
+                break
             if random() >= p_pass:
                 expired += 1
                 continue
@@ -560,8 +575,11 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             else:
                 cumulative = list(accumulate(weights))
                 if cumulative[-1] <= 0.0:
-                    expired += 1
-                    continue
+                    # No pick will ever shrink the list: this coupon and
+                    # each one after it expire after their pass draws.
+                    uniforms.skip(left - 1)
+                    expired += left
+                    break
                 # The first running sum above the target, else the last candidate.
                 j = min(bisect_right(cumulative, random() * cumulative[-1]), len(eligible) - 1)
                 del weights[j]

@@ -218,6 +218,11 @@ def test_public_surface_is_listed():
     assert not unlisted, f"rdslab re-exports names their modules do not list: {unlisted}"
 
 
+def _echoed_config(capsys) -> dict:
+    """The ``effective_config`` a command printed as its first stderr line."""
+    return json.loads(capsys.readouterr().err.strip().splitlines()[0])["effective_config"]
+
+
 class TestExitCodes:
     def test_pipeline_returns_zero(self, tmp_path, config_path):
         net = tmp_path / "net.txt"
@@ -391,6 +396,27 @@ class TestExitCodes:
         payload = json.loads(err_lines[0])
         assert payload["effective_config"]["label"] == "demo"
         assert payload["effective_config"]["network"]["n_nodes"] == 300
+
+    def test_experiment_echoes_reps_flag(self, tmp_path, config_path, capsys):
+        # The YAML asks for 3 replications at base seed 9; the flags win.
+        assert dispatch(["experiment", "--config", config_path, "--out", str(tmp_path / "e"),
+                         "--reps", "1", "--seed", "4"]) == 0
+        echoed = _echoed_config(capsys)
+        assert (echoed["replications"], echoed["base_seed"]) == (1, 4)
+        assert len((tmp_path / "e_replications.csv").read_text().splitlines()) == 2
+
+    def test_flags_of_each_command_echoed(self, tmp_path, config_path, capsys):
+        net, smp = str(tmp_path / "net.txt"), str(tmp_path / "s.txt")
+        assert dispatch(["gen", "--config", config_path, "--out", net, "--seed", "5"]) == 0
+        assert _echoed_config(capsys)["network"]["rng_seed"] == 5
+        assert dispatch(["sample", "--config", config_path, "--network", net, "--out", smp,
+                         "--seed", "6"]) == 0
+        assert _echoed_config(capsys)["sampling"]["rng_seed"] == 6
+        assert dispatch(["estimate", "--config", config_path, "--sample", smp, "--seed", "7",
+                         "--pop-size", "400", "--mean-cell-size", "3"]) == 0
+        echoed = _echoed_config(capsys)
+        assert echoed["ss_options"]["rng_seed"] == 7
+        assert (echoed["population_size"], echoed["mean_cell_size"]) == (400, 3)
 
 
 class TestGen:

@@ -28,12 +28,21 @@ DEFAULT = NetworkSpec()
 
 
 @st.composite
-def networks(draw):
+def edge_lists(draw):
+    """``(infected, edges)`` as a caller may pass them: pairs repeated, reversed and shuffled."""
     n = draw(st.integers(0, 25))
     infected = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     node = st.integers(0, max(n - 1, 0))
     pairs = draw(st.lists(st.tuples(node, node).filter(lambda p: p[0] != p[1]), max_size=60))
-    return Network(np.array(infected, dtype=bool), np.array(pairs, dtype=np.int64))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=20))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = draw(st.permutations([(v, u) if f else (u, v) for (u, v), f in zip(pairs, flips)]))
+    return np.array(infected, dtype=bool), np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def networks():
+    return edge_lists().map(lambda case: Network(*case))
 
 
 class TestSolveBlockProbabilities:
@@ -215,6 +224,20 @@ class TestGenerateNetwork:
         sample = run_rds(net, SamplingConfig(target_n=20_000, rng_seed=5))
         assert sample.size == 20_000
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_peak_memory_near_network_size(self, seed):
+        # The large_pop benchmark spec: ~35k edges, whose CSR holds ~0.6 MB.
+        # Generation may hold little more than the edge array and the CSR.
+        spec = NetworkSpec(n_nodes=10_000, n_infected=2_000, differential_activity=1.8,
+                           rng_seed=seed)
+        tracemalloc.start()
+        try:
+            generate_network(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0 * 2**20
+
     def test_realized_differential_activity_near_spec(self):
         stats = network_summary(generate_network(NetworkSpec(rng_seed=11)))
         assert stats.differential_activity == pytest.approx(1.0, rel=0.15)
@@ -238,17 +261,53 @@ class TestNetworkType:
         assert net.degrees.tolist() == [2, 1, 1]
         assert net.neighbors[0] == [1, 2]
 
-    @given(net=networks())
-    def test_csr_matches_reference_adjacency(self, net):
-        # Reference: per-node Python lists built edge by edge, then sorted.
-        reference = [[] for _ in range(net.n_nodes)]
-        for u, v in net.edges.tolist():
-            reference[u].append(v)
-            reference[v].append(u)
-        assert [sorted(lst) for lst in reference] == list(net.neighbors)
-        assert net.indptr.tolist() == [0, *np.cumsum(net.degrees).tolist()]
-        for i in range(net.n_nodes):
-            assert net.indices[net.indptr[i] : net.indptr[i + 1]].tolist() == net.neighbors[i]
+    @given(case=edge_lists())
+    def test_csr_matches_reference_adjacency(self, case):
+        # Reference: one Python set per node, filled pair by pair from the
+        # raw edge list.
+        infected, pairs = case
+        net = Network(infected, pairs)
+        reference = [set() for _ in range(len(infected))]
+        for u, v in pairs.tolist():
+            reference[u].add(v)
+            reference[v].add(u)
+        rows = [sorted(row) for row in reference]
+        assert list(net.neighbors) == rows
+        assert net.degrees.tolist() == [len(row) for row in rows]
+        assert net.indptr.tolist() == [0, *np.cumsum([len(row) for row in rows]).tolist()]
+        assert net.indices.tolist() == [v for row in rows for v in row]
+        canonical = sorted({(min(u, v), max(u, v)) for u, v in pairs.tolist()})
+        assert net.edges.tolist() == [list(edge) for edge in canonical]
+        for name in ("degrees", "indptr", "indices", "edges"):
+            assert getattr(net, name).dtype == np.int64, name
+        assert net.edges.shape == (net.indices.shape[0] // 2, 2)
+        assert Network(net.infected, net.edges) == net
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_edgeless_sizes(self, n):
+        net = Network(np.ones(n, dtype=bool), np.zeros((0, 2), dtype=np.int64))
+        assert net.indptr.tolist() == [0] * (n + 1)
+        assert net.indices.tolist() == []
+        assert net.degrees.tolist() == [0] * n
+        assert net.edges.shape == (0, 2)
+        assert list(net.neighbors) == [[]] * n
+        assert Network(net.infected, net.edges) == net
+
+    def test_largest_node_ids(self):
+        n = MAX_NODES
+        net = Network(np.zeros(n, dtype=bool), np.array([[n - 1, n - 2], [0, n - 1]]))
+        assert net.edges.tolist() == [[0, n - 1], [n - 2, n - 1]]
+        assert net.neighbors[n - 1] == [0, n - 2]
+        assert net.neighbors[0] == [n - 1]
+        assert net.degrees[[0, 1, n - 2, n - 1]].tolist() == [1, 0, 1, 2]
+        assert net.indptr[-1] == 4
+
+    def test_rejects_too_many_nodes(self):
+        # No ``MAX_NODES + 1``-node array is needed to see the check: a
+        # broadcast view has the length and no memory.
+        infected = np.broadcast_to(np.False_, (MAX_NODES + 1,))
+        with pytest.raises(ConfigError, match="infected"):
+            Network(infected, np.zeros((0, 2), dtype=np.int64))
 
     def test_neighbors_view_indexing(self):
         net = Network(np.zeros(4, dtype=bool), np.array([[3, 1], [1, 0]]))

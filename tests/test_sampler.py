@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import time
 import tracemalloc
 from collections import deque
 from itertools import accumulate
@@ -313,6 +314,21 @@ class TestUniforms:
                 assert (rng.choice(50, size=3, replace=False).tolist()
                         == ref.choice(50, size=3, replace=False).tolist())
         assert uniforms.next() == ref.random()
+
+    @given(
+        seed=st.integers(0, 2**32),
+        steps=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)), max_size=8),
+    )
+    def test_skip_leaves_the_stream_where_reading_would(self, seed, steps):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        uniforms = _Uniforms(rng)
+        for read, skipped in steps:
+            assert [uniforms.next() for _ in range(read)] == ref.random(read).tolist()
+            uniforms.skip(skipped)
+            ref.random(skipped)
+        assert uniforms.next() == ref.random()
+        uniforms.sync()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_sync_at_block_edges(self):
         for count in (0, 1, _Uniforms._BLOCK - 1, _Uniforms._BLOCK, _Uniforms._BLOCK + 1):
@@ -919,6 +935,8 @@ def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, se
             expired += 1
             continue
         if random() >= tables.pass_prob[infected[holder]][degrees[holder]]:
+            if tables.pass_prob[infected[holder]][degrees[holder]] <= 0.0:
+                paths.add("zero_pass")
             expired += 1
             continue
         if tables.uniform:
@@ -1014,8 +1032,12 @@ _PATH_CASES = {
     "exhausted": (NetworkSpec(n_nodes=200, n_infected=40, mean_degree=2.0, rng_seed=3),
                   SamplingConfig(n_seeds=3, coupons_per_respondent=1, target_n=150, rng_seed=4,
                                  reseed_on_die_out=False, behavior=_DESK_BEHAVIOR)),
+    # Both cases spend more coupons per holder than one block of uniforms.
+    "zero_pass": (NetworkSpec(n_nodes=120, n_infected=30, rng_seed=9),
+                  SamplingConfig(n_seeds=3, coupons_per_respondent=300, target_n=60, rng_seed=10,
+                                 behavior=BehaviorConfig(pass_prob_infected=0.0))),
     "zero_total": (NetworkSpec(n_nodes=120, n_infected=30, rng_seed=5),
-                   SamplingConfig(n_seeds=4, coupons_per_respondent=3, target_n=60, rng_seed=6,
+                   SamplingConfig(n_seeds=4, coupons_per_respondent=200, target_n=60, rng_seed=6,
                                   behavior=_ZERO_WEIGHTS[1])),
     "target_between_coupons": (NetworkSpec(n_nodes=150, n_infected=30, mean_degree=9.0,
                                            rng_seed=7),
@@ -1040,6 +1062,22 @@ class TestRespondentMajorLoopMatchesReference:
         assert name in _reference_run_rds(net, config)[1]
         expected = _sample_bytes(_reference_sample, net, config, tmp_path / "sample.txt")
         assert _sample_bytes(run_rds, net, config, tmp_path / "sample.txt") == expected
+
+    @pytest.mark.parametrize("behavior", [BehaviorConfig(pass_prob_infected=0.0),
+                                          _ZERO_WEIGHTS[0]])
+    def test_billion_coupons_per_holder_finish_at_once(self, behavior):
+        # The infected hub cannot pass (or nobody can be picked), so each of
+        # its 10**9 coupons would take one pass draw and change nothing.
+        net = star_network(5)
+        config = SamplingConfig(n_seeds=1, seed_rule=SeedRule.uniform_highest(1),
+                                coupons_per_respondent=10**9, target_n=6,
+                                reseed_on_die_out=False, behavior=behavior)
+        start = time.perf_counter()
+        sample = run_rds(net, config)
+        assert time.perf_counter() - start < 0.5
+        c = sample.counts
+        assert sample.exhausted
+        assert c.coupons_issued == sample.size * 10**9 == c.coupons_resolved
 
     @pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
     def test_reference_gives_pinned_bytes(self, tmp_path, case):
