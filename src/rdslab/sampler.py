@@ -501,8 +501,16 @@ class _Uniforms:
         left = length_hint(self._current)
         deque(islice(self._current, count), maxlen=0)
         if count > left:
-            # One double per bit-generator output: jump the rest.
-            self._rng.bit_generator.advance(count - left)
+            # One double per bit-generator output: jump the rest.  `advance`
+            # drops a buffered 32-bit half that a bounded integer draw (such
+            # as a uniform seed's `choice`) left; doubles never read it, so
+            # the next such draw must still find it.
+            bg = self._rng.bit_generator
+            kept = bg.state
+            bg.advance(count - left)
+            jumped = bg.state
+            jumped["has_uint32"], jumped["uinteger"] = kept["has_uint32"], kept["uinteger"]
+            bg.state = jumped
 
     def sync(self) -> None:
         unused = length_hint(self._current)

@@ -42,6 +42,7 @@ from rdslab import (
 from rdslab.estimators import ENUMERATION_LIMIT
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
+    UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
     _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _pps_index, _seed_pool, _Tables,
     _Uniforms,
 )
@@ -317,15 +318,25 @@ class TestUniforms:
 
     @given(
         seed=st.integers(0, 2**32),
-        steps=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)), max_size=8),
+        steps=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000), st.booleans()),
+                       max_size=8),
     )
     def test_skip_leaves_the_stream_where_reading_would(self, seed, steps):
+        # A uniform seed draw between skips can leave a buffered 32-bit
+        # half in the bit generator; the next such draw must still use it.
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         uniforms = _Uniforms(rng)
-        for read, skipped in steps:
+        for read, skipped, choose in steps:
             assert [uniforms.next() for _ in range(read)] == ref.random(read).tolist()
+            if choose:
+                uniforms.sync()
+                assert (rng.choice(15, size=1, replace=False).tolist()
+                        == ref.choice(15, size=1, replace=False).tolist())
             uniforms.skip(skipped)
             ref.random(skipped)
+        uniforms.sync()
+        assert (rng.choice(15, size=1, replace=False).tolist()
+                == ref.choice(15, size=1, replace=False).tolist())
         assert uniforms.next() == ref.random()
         uniforms.sync()
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -924,6 +935,9 @@ def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, se
                 exhausted = True
                 break
             paths.add("reseed")
+            if "zero_pass" in paths and config.seed_rule.variant in (UNIFORM_LOWEST_K,
+                                                                     UNIFORM_HIGHEST_K):
+                paths.add("zero_pass_then_uniform_reseed")
             enroll(node, -1, 0)
             continue
         position = queue.popleft()
@@ -1036,6 +1050,14 @@ _PATH_CASES = {
     "zero_pass": (NetworkSpec(n_nodes=120, n_infected=30, rng_seed=9),
                   SamplingConfig(n_seeds=3, coupons_per_respondent=300, target_n=60, rng_seed=10,
                                  behavior=BehaviorConfig(pass_prob_infected=0.0))),
+    # A dead holder's coupons are jumped over with a uniform seed's 32-bit
+    # half still buffered; the reseed after it must draw that half.
+    "zero_pass_then_uniform_reseed": (
+        NetworkSpec(n_nodes=120, n_infected=30, rng_seed=11),
+        SamplingConfig(n_seeds=1, seed_rule=SeedRule.uniform_lowest(15),
+                       coupons_per_respondent=1, target_n=20, rng_seed=12,
+                       behavior=BehaviorConfig(pass_prob_uninfected=0.0,
+                                               pass_prob_infected=0.0))),
     "zero_total": (NetworkSpec(n_nodes=120, n_infected=30, rng_seed=5),
                    SamplingConfig(n_seeds=4, coupons_per_respondent=200, target_n=60, rng_seed=6,
                                   behavior=_ZERO_WEIGHTS[1])),
