@@ -12,68 +12,16 @@ harness
     Replicated experiments, summaries, paired comparisons, CSV export.
 cli
     Config-driven command line front end.
+
+The package root re-exports exactly the names in the ``__all__`` of
+`errors` and of each module above except ``cli``, which is imported on its
+own.
 """
 
-from .errors import ConfigError, EstimationError, RdslabError, SamplingError
-from .netgen import (
-    BlockProbabilities,
-    Network,
-    NetworkSpec,
-    NetworkStats,
-    generate_network,
-    load_network,
-    network_summary,
-    save_network,
-    solve_block_probabilities,
-)
-from .sampler import (
-    BehaviorConfig,
-    EventCounts,
-    RespondentRecord,
-    Sample,
-    SamplingConfig,
-    SeedRule,
-    load_sample,
-    recruitment_weight,
-    run_rds,
-    save_sample,
-    select_seeds,
-)
-from .estimators import (
-    CrossGroupCounts,
-    DegreeGroups,
-    EstimateSet,
-    SsOptions,
-    adjusted_degree,
-    cross_group_counts,
-    degree_group_transition_matrix,
-    equilibrium_distribution,
-    estimate_all,
-    h_estimate,
-    harmonic_mean_degree,
-    naive_estimate,
-    partition_degree_groups,
-    rcd_values,
-    sh_estimate,
-    ss_estimate,
-    ss_probabilities,
-    vh_estimate,
-)
-from .harness import (
-    Condition,
-    ConditionSummary,
-    PairedTestResult,
-    ReplicationRow,
-    ReplicationTable,
-    SummaryRow,
-    csv_lines,
-    derive_rep_seeds,
-    export_csv,
-    load_replication_csv,
-    paired_difference_test,
-    run_condition,
-    run_replication,
-    summarize,
-)
+from .errors import *
+from .netgen import *
+from .sampler import *
+from .estimators import *
+from .harness import *
 
 __version__ = "0.1.0"

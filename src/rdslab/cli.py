@@ -25,6 +25,7 @@ import yaml
 
 from .errors import ConfigError, RdslabError
 from .errors import as_bool, as_float, as_int, as_str, read_text
+from .estimators import estimate_all
 from .harness import (
     Condition,
     ReplicationRow,
@@ -223,8 +224,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    from .estimators import estimate_all
-
     config = read_config(args.config)
     config = _with_flags(
         config,

@@ -8,6 +8,8 @@ helper below.  Each takes a location label, a dotted config path such as
 files are read with `read_text`, so undecodable bytes raise it too.
 """
 
+__all__ = ["RdslabError", "ConfigError", "SamplingError", "EstimationError"]
+
 
 class RdslabError(Exception):
     """Base class for all package errors."""

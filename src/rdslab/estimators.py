@@ -345,10 +345,8 @@ def _ss_fixed_point(
     degrees: np.ndarray, sample_counts: np.ndarray, population_size: int, draws: int,
     options: SsOptions,
 ) -> np.ndarray:
-    """Inclusion probability of each sorted distinct sample degree."""
+    """Inclusion probability of each sorted distinct (positive) sample degree."""
     sample_counts = sample_counts.astype(np.float64)
-    if (degrees < 1).any():
-        raise EstimationError("sample contains degrees < 1", code=ZERO_DEGREE)
     if draws > population_size:
         raise ConfigError(
             f"sample size {draws} exceeds population size {population_size}"

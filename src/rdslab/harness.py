@@ -44,20 +44,8 @@ __all__ = [
     "load_replication_csv",
 ]
 
-REPLICATION_COLUMNS = (
-    "condition_label",
-    "replication",
-    "naive",
-    "vh",
-    "ss",
-    "sh",
-    "h",
-    "sh_flag_one",
-    "h_flag_one",
-    "failure_code",
-    "realized_n",
-    "reseeds",
-)
+REPLICATION_COLUMNS = ("condition_label", "replication", *ESTIMATOR_NAMES,
+                       "sh_flag_one", "h_flag_one", "failure_code", "realized_n", "reseeds")
 
 SUMMARY_COLUMNS = (
     "condition_label",
@@ -346,25 +334,26 @@ def load_replication_csv(path) -> ReplicationTable:
             raise ConfigError(
                 f"{where}: expected {len(REPLICATION_COLUMNS)} cells, got {len(cells)}"
             )
+        cell = dict(zip(REPLICATION_COLUMNS, cells))
         if label is None:
-            label = cells[0]
-        elif cells[0] != label:
+            label = cell["condition_label"]
+        elif cell["condition_label"] != label:
             raise ConfigError(f"{where}: mixed condition labels in one table")
         estimates = EstimateSet(
-            sh_equal_one=as_flag(cells[7], where),
-            h_equal_one=as_flag(cells[8], where),
+            sh_equal_one=as_flag(cell["sh_flag_one"], where),
+            h_equal_one=as_flag(cell["h_flag_one"], where),
         )
-        for name, cell in zip(ESTIMATOR_NAMES, cells[2:7]):
-            if cell == MISSING:
-                estimates.failures[name] = cells[9] or "recorded_failure"
+        for name in ESTIMATOR_NAMES:
+            if cell[name] == MISSING:
+                estimates.failures[name] = cell["failure_code"] or "recorded_failure"
             else:
-                setattr(estimates, name, as_float(cell, where))
+                setattr(estimates, name, as_float(cell[name], where))
         rows.append(
             ReplicationRow(
-                replication=as_int(cells[1], where),
+                replication=as_int(cell["replication"], where),
                 estimates=estimates,
-                realized_n=as_int(cells[10], where),
-                reseeds=as_int(cells[11], where),
+                realized_n=as_int(cell["realized_n"], where),
+                reseeds=as_int(cell["reseeds"], where),
             )
         )
     if label is None:

@@ -323,17 +323,20 @@ def network_summary(net: Network) -> NetworkStats:
     da: float | None = None
     if n_a and n_b and mean_b > 0:
         da = mean_a / mean_b
-    u_inf, v_inf = inf[net.edges].T
+    # Each edge is two CSR entries, one per direction.
+    u_inf, v_inf = np.repeat(inf, deg), inf[net.indices]
+    ii = int(np.count_nonzero(u_inf & v_inf)) // 2
+    cross = int(np.count_nonzero(u_inf ^ v_inf)) // 2
     return NetworkStats(
         n_nodes=net.n_nodes,
         n_infected=n_a,
-        mean_degree=float(deg.mean()),
+        mean_degree=float(deg.mean()) if net.n_nodes else float("nan"),
         mean_degree_infected=mean_a,
         mean_degree_uninfected=mean_b,
         differential_activity=da,
-        edges_infected_infected=int((u_inf & v_inf).sum()),
-        edges_cross=int((u_inf ^ v_inf).sum()),
-        edges_uninfected_uninfected=int((~u_inf & ~v_inf).sum()),
+        edges_infected_infected=ii,
+        edges_cross=cross,
+        edges_uninfected_uninfected=len(u_inf) // 2 - ii - cross,
         n_isolates=int((deg == 0).sum()),
     )
 

@@ -613,7 +613,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     return Sample._from_columns(columns, counts, len(nodes) < target_n, recruiter_pos)
 
 
-_SAMPLE_COLUMNS = "order node_id degree infected recruiter_id wave reseed"
+_SAMPLE_COLUMNS = " ".join(("order", *_COLUMNS))
 _SAMPLE_META = (*(f.name for f in fields(EventCounts)), "exhausted")
 
 

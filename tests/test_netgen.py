@@ -331,6 +331,31 @@ class TestNetworkType:
         assert stats.differential_activity is None
         assert stats.n_isolates == 1
 
+    @staticmethod
+    def _block_counts(infected, pairs):
+        """(infected-infected, cross, uninfected-uninfected) over distinct edges."""
+        edges = {(min(u, v), max(u, v)) for u, v in pairs}
+        both = [int(infected[u]) + int(infected[v]) for u, v in edges]
+        return both.count(2), both.count(1), both.count(0)
+
+    def _assert_block_counts(self, net, expected):
+        stats = network_summary(net)
+        counts = (stats.edges_infected_infected, stats.edges_cross,
+                  stats.edges_uninfected_uninfected)
+        assert counts == expected
+        assert all(type(count) is int for count in counts)
+
+    @given(case=edge_lists())
+    def test_summary_block_counts_match_edge_list(self, case):
+        infected, pairs = case
+        self._assert_block_counts(Network(infected, pairs),
+                                  self._block_counts(infected, pairs.tolist()))
+
+    @pytest.mark.parametrize("spec", [DEFAULT, NetworkSpec(rng_seed=5, differential_activity=1.8)])
+    def test_summary_block_counts_of_generated_networks(self, spec):
+        net = generate_network(spec)
+        self._assert_block_counts(net, self._block_counts(net.infected, net.edges.tolist()))
+
 
 class TestSerialization:
     def test_round_trip_generated(self, tmp_path):
