@@ -56,6 +56,7 @@ __all__ = [
     "rcd_values",
     "adjusted_degree",
     "h_estimate",
+    "ESTIMATOR_NAMES",
     "estimate_all",
 ]
 
@@ -279,11 +280,12 @@ def _asymptotic_inclusion(
     # longer moves t.
     t = 0.0
     included = np.zeros(degrees.size)
+    size_rate = size * rate
     for _ in range(_NEWTON_MAX_STEPS):
         shortfall = draws - float(size @ included)
         if shortfall <= 0.0:
             break
-        advanced = t + shortfall / float((size * rate) @ (1.0 - included))
+        advanced = t + shortfall / float(size_rate @ (1.0 - included))
         if advanced <= t:
             break
         t = advanced

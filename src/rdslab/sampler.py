@@ -43,6 +43,14 @@ rounding from Python 3.12 on.  The draws (pass, pick, response, reseed)
 come in the order and number of a loop calling ``rng.random()`` and
 `recruitment_weight` for each candidate, so a seed gives its sample.
 
+A PPS seed draw (`pps_degree`, `infected_only_pps`) costs O(N + count log N):
+one integer prefix sum of the degrees over all N nodes, then a search per
+pick, certified against the float CDF of ``rng.choice(p=...)`` by a bound on
+its rounding error; only a uniform within that margin of a step rebuilds
+the float CDF (`_pps_picks`).  A reseed inside `run_rds` takes its uniform
+from `_Uniforms`; a uniform-k reseed syncs the generator first, as its
+``rng.choice`` draws bounded integers.
+
 `run_rds` appends each enrolment to plain lists and builds the columns of
 its `Sample` once, recruiter positions included; a sample built from records
 or read from a file resolves those positions on first use.
@@ -51,12 +59,12 @@ or read from a file resolves those positions on first use.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from itertools import accumulate, chain, islice
 from operator import length_hint
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -82,6 +90,7 @@ UNIFORM_LOWEST_K = "uniform_lowest_k"
 UNIFORM_HIGHEST_K = "uniform_highest_k"
 INFECTED_ONLY_PPS = "infected_only_pps"
 _SEED_VARIANTS = (PPS_DEGREE, UNIFORM_LOWEST_K, UNIFORM_HIGHEST_K, INFECTED_ONLY_PPS)
+_PPS_VARIANTS = (PPS_DEGREE, INFECTED_ONLY_PPS)
 
 # Degree ramps are flat outside the 5..10 transition band.
 _RAMP_LOW_DEGREE = 5
@@ -365,12 +374,17 @@ def recruitment_weight(
     return w
 
 
-def _seed_pool(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
-    """Node ids eligible under the rule, restricted to ``allowed`` (bool mask)."""
+def _eligible(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
+    """Bool mask of the nodes the rule may draw, restricted to ``allowed`` (bool mask)."""
     mask = allowed & (net.degrees > 0)
     if rule.variant == INFECTED_ONLY_PPS:
-        mask = mask & net.infected
-    ids = np.flatnonzero(mask)
+        mask &= net.infected
+    return mask
+
+
+def _seed_pool(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
+    """Node ids eligible under the rule, restricted to ``allowed`` (bool mask)."""
+    ids = np.flatnonzero(_eligible(net, rule, allowed))
     if rule.variant in (UNIFORM_LOWEST_K, UNIFORM_HIGHEST_K):
         deg = net.degrees[ids]
         if rule.variant == UNIFORM_LOWEST_K:
@@ -381,33 +395,112 @@ def _seed_pool(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _pps_index(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """The index ``rng.choice(len(probs), p=probs)`` draws: same uniform, same sums.
+def _pps_index(probs: np.ndarray, u: float) -> int:
+    """The index ``rng.choice(len(probs), p=probs)`` draws with uniform ``u``: same sums.
 
-    No re-validation: pool weights are degrees >= 1 (picked ones zeroed), so
-    ``probs`` is a valid distribution by construction.
+    No re-validation: weights are degrees >= 1 or 0 (ineligible or picked),
+    so ``probs`` is a valid distribution by construction.
     """
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    return int(cdf.searchsorted(u, side="right"))
+
+
+def _cdf_margin(n: int) -> float:
+    """How far `_pps_index`'s float CDF over ``n`` integer weights may lie from the exact one.
+
+    With u = 2**-53, the CDF entry ``fl(C_i / c)`` is ``W_i / S`` to within
+    gamma_(2n+1) = (2n+1)u / (1 - (2n+1)u) (Higham 2002, *Accuracy and
+    Stability of Numerical Algorithms*, sec. 3.1 and 4.2): one rounding per
+    ``w / S``, the recursive summation error of ``cumsum`` on both ``C_i``
+    and the total ``c``, and one rounding of ``C_i / c``.  The integer sums
+    are exact below 2**53.  `_certified_index` rounds twice more in its own
+    checks, which costs under 2u of the 7u to spare.
+    """
+    return (2 * n + 8) * 2.0**-53
+
+
+def _certified_index(
+    prefix: np.ndarray, picked: list[tuple[int, int, int]], rest: int, u: float, margin: float
+) -> Optional[int]:
+    """The index `_pps_index` gives for ``u``, or None when ``u`` is too close to a step.
+
+    ``prefix`` holds the integer prefix sums of the weights before any pick,
+    ``picked`` the ``(index, prefix[index - 1], weight)`` of each pick so far
+    by ascending index, and ``rest`` the weight left.  With the picks zeroed
+    the prefix sums are ``W'_i = prefix[i] - (weight picked at or before i)``,
+    and the exact pick is the first ``i`` with ``W'_i > u * rest``.
+    `_pps_index`'s float CDF lies within ``margin`` of ``W'_i / rest``, so it
+    takes the same index unless ``u`` lies within ``margin`` of
+    ``W'_{i-1} / rest`` or ``W'_i / rest``.
+    """
+    num, den = u.as_integer_ratio()
+    target = num * rest // den  # floor(u * rest), exactly
+    # A pick lowers the prefix sums from its index on: remove the weight of
+    # each pick whose W' just before it does not yet exceed the target.
+    removed = 0
+    for _, before, weight in picked:
+        if before - removed > target:
+            break
+        removed += weight
+    j = int(prefix.searchsorted(target + removed, side="right"))
+    low = (int(prefix[j - 1]) if j else 0) - removed
+    high = int(prefix[j]) - removed
+    if u - low / rest > margin and high / rest - u > margin:
+        return j
+    return None
+
+
+def _pps_picks(weights: np.ndarray, count: int, random: Callable[[], float]) -> list[int]:
+    """``count`` distinct indices drawn with probability proportional to integer ``weights``.
+
+    Each pick takes one ``random()`` and is the index `_pps_index` gives for
+    it over the weights with earlier picks zeroed: O(N) once for the prefix
+    sums, then O(log N + picks so far) per pick, plus O(N) for `_pps_index`
+    itself when `_certified_index` cannot decide.
+    """
+    prefix = weights.cumsum()
+    rest = int(prefix[-1])
+    margin = _cdf_margin(len(weights))
+    chosen: list[int] = []
+    picked: list[tuple[int, int, int]] = []
+    for _ in range(count):
+        u = random()
+        j = _certified_index(prefix, picked, rest, u, margin)
+        if j is None:
+            zeroed = weights.astype(float)
+            zeroed[[index for index, _, _ in picked]] = 0.0
+            j = _pps_index(zeroed / zeroed.sum(), u)
+        weight = int(weights[j])
+        chosen.append(j)
+        insort(picked, (j, int(prefix[j - 1]) if j else 0, weight))
+        rest -= weight
+    return chosen
 
 
 def _draw_seeds(
-    net: Network, rule: SeedRule, count: int, rng: np.random.Generator, allowed: np.ndarray
+    net: Network, rule: SeedRule, count: int, rng: np.random.Generator, allowed: np.ndarray,
+    random: Optional[Callable[[], float]] = None,
 ) -> list[int]:
-    pool = _seed_pool(net, rule, allowed)
-    if len(pool) < count:
+    """``count`` distinct seeds under ``rule`` among the ``allowed`` nodes (bool mask).
+
+    A PPS pick takes one uniform from ``random`` (``rng.random`` by default)
+    and costs O(log N) after one O(N) pass (`_pps_picks`); a uniform-k draw
+    is one ``rng.choice`` over `_seed_pool`, whatever ``random`` is.
+    """
+    pps = rule.variant in _PPS_VARIANTS
+    if pps:
+        weights = np.where(_eligible(net, rule, allowed), net.degrees, 0)
+        found = int(np.count_nonzero(weights))
+    else:
+        pool = _seed_pool(net, rule, allowed)
+        found = len(pool)
+    if found < count:
         raise SamplingError(
-            f"need {count} eligible seed nodes under rule {rule.variant}, found {len(pool)}"
+            f"need {count} eligible seed nodes under rule {rule.variant}, found {found}"
         )
-    if rule.variant in (PPS_DEGREE, INFECTED_ONLY_PPS):
-        weights = net.degrees[pool].astype(float)
-        chosen = []
-        for _ in range(count):
-            j = _pps_index(weights / weights.sum(), rng)
-            chosen.append(int(pool[j]))
-            weights[j] = 0.0
-        return chosen
+    if pps:
+        return _pps_picks(weights, count, random or rng.random)
     picks = rng.choice(len(pool), size=count, replace=False)
     return [int(pool[j]) for j in np.atleast_1d(picks)]
 
@@ -415,7 +508,11 @@ def _draw_seeds(
 def select_seeds(
     net: Network, rule: SeedRule, count: int, rng: np.random.Generator
 ) -> list[int]:
-    """Draw ``count`` distinct seed nodes from the whole network."""
+    """Draw ``count`` distinct seed nodes from the whole network.
+
+    PPS rules cost O(N + count log N) and pick as ``count`` successive
+    ``rng.choice(p=...)`` calls would, each picked weight zeroed.
+    """
     if count < 1:
         raise ConfigError(f"seed count must be >= 1, got {count}")
     return _draw_seeds(net, rule, count, rng, np.ones(net.n_nodes, dtype=bool))
@@ -531,6 +628,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     uniform, weights_of = tables.uniform, tables.weights
     indptr, indices = net.indptr, net.indices
     coupons, target_n = config.coupons_per_respondent, config.target_n
+    pps_seeds = config.seed_rule.variant in _PPS_VARIANTS
     state = bytearray(net.n_nodes)
     # One entry per enrolment, recruiters by sample position.
     nodes, recruiters, waves = [], [], []
@@ -554,9 +652,10 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             if not config.reseed_on_die_out:
                 break
             untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
-            uniforms.sync()
+            if not pps_seeds:
+                uniforms.sync()  # `rng.choice` draws bounded integers, not doubles
             try:
-                node = _draw_seeds(net, config.seed_rule, 1, rng, untouched)[0]
+                node = _draw_seeds(net, config.seed_rule, 1, rng, untouched, random)[0]
             except SamplingError:
                 break
             enroll(node, -1, 0)

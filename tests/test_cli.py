@@ -208,7 +208,8 @@ def test_public_surface_is_listed():
         assert not missing, f"{module.__name__}.__all__ lists missing names {missing}"
         if info.name != "cli":
             listed.update(module.__all__)
-    assert {"RdslabError", "MAX_NODES", "run_rds", "estimate_all", "run_condition"} <= listed
+    assert {"RdslabError", "MAX_NODES", "run_rds", "estimate_all", "ESTIMATOR_NAMES",
+            "run_condition"} <= listed
     exported = {
         name for name, value in vars(rdslab).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)

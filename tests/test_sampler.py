@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -43,8 +43,8 @@ from rdslab.estimators import ENUMERATION_LIMIT
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
     UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
-    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _pps_index, _seed_pool, _Tables,
-    _Uniforms,
+    _REFUSED, _SAMPLED, _UNTOUCHED, _cdf_margin, _degree_ramp, _draw_seeds, _pps_index,
+    _seed_pool, _Tables, _Uniforms,
 )
 
 
@@ -117,22 +117,16 @@ class TestSeedRules:
         w[[i for i in zeroed if i < len(w) - 1]] = 0.0
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
-            assert _pps_index(w / w.sum(), rng) == int(ref.choice(len(w), p=w / w.sum()))
+            picked = _pps_index(w / w.sum(), rng.random())
+            assert picked == int(ref.choice(len(w), p=w / w.sum()))
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_lean_pps_draw_edges(self):
-        class NextUniform:
-            def __init__(self, u):
-                self.u = u
-
-            def random(self):
-                return self.u
-
         # A uniform landing on a CDF step picks the next index, as choice's
         # side="right" search does; ten 0.1s sum to the largest double below
         # 1, so only the renormalised CDF keeps that uniform in range.
-        assert _pps_index(np.array([0.5, 0.5]), NextUniform(0.5)) == 1
-        assert _pps_index(np.full(10, 0.1), NextUniform(float(np.nextafter(1.0, 0.0)))) == 9
+        assert _pps_index(np.array([0.5, 0.5]), 0.5) == 1
+        assert _pps_index(np.full(10, 0.1), float(np.nextafter(1.0, 0.0))) == 9
 
     def test_seeds_distinct(self):
         net = path_network(6)
@@ -141,6 +135,100 @@ class TestSeedRules:
                 net, SeedRule.pps_degree(), 4, np.random.default_rng(seed)
             )
             assert len(set(picks)) == 4
+
+
+_PPS_RULES = [SeedRule.pps_degree(), SeedRule.infected_only_pps()]
+
+
+@st.composite
+def seed_populations(draw) -> tuple[SimpleNamespace, np.ndarray]:
+    # Integer degrees with zeros (isolates), an infected flag and an
+    # `allowed` mask per node; `_draw_seeds` reads nothing else of a network.
+    n = draw(st.integers(1, 200))
+    degree = st.integers(0, 40) | st.sampled_from([0, 1, 10**6])
+    net = SimpleNamespace(
+        degrees=np.array(draw(st.lists(degree, min_size=n, max_size=n)), dtype=np.int64),
+        infected=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+        n_nodes=n,
+    )
+    return net, np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+def _eligible_weights(net, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
+    eligible = allowed & (net.degrees > 0)
+    if rule == SeedRule.infected_only_pps():
+        eligible &= net.infected
+    return np.where(eligible, net.degrees, 0)
+
+
+class TestCertifiedPpsPick:
+    """PPS seeds from integer prefix sums equal the float CDF's picks."""
+
+    @given(case=seed_populations(), rule=st.sampled_from(_PPS_RULES), count=st.integers(1, 12),
+           seed=st.integers(0, 2**32))
+    def test_draws_equal_zero_as_you_go_choice(self, case, rule, count, seed):
+        net, allowed = case
+        w = _eligible_weights(net, rule, allowed).astype(float)
+        count = min(count, int(np.count_nonzero(w)))
+        assume(count >= 1)
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = []
+        for _ in range(count):
+            expected.append(int(ref.choice(len(w), p=w / w.sum())))
+            w[expected[-1]] = 0.0
+        assert _draw_seeds(net, rule, count, rng, allowed) == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("rule", _PPS_RULES)
+    def test_step_uniforms_fall_back_and_match(self, monkeypatch, rule):
+        # A uniform on a step W'_k / S' of the weights left is within any
+        # margin of it, so every such pick must take the float CDF.
+        gen = np.random.default_rng(5)
+        n = 300
+        net = SimpleNamespace(
+            degrees=np.where(gen.random(n) < 0.3, 0, gen.integers(1, 60, n)),
+            infected=gen.random(n) < 0.5,
+            n_nodes=n,
+        )
+        allowed = gen.random(n) < 0.8
+        base = _eligible_weights(net, rule, allowed)
+        fallbacks = []
+        monkeypatch.setattr(sampler_module, "_pps_index",
+                            lambda probs, u: fallbacks.append(u) or _pps_index(probs, u))
+        for trial in range(200):
+            count = 1 + trial % 6
+            w, uniforms, expected = base.copy(), [], []
+            for _ in range(count):
+                prefix = w.cumsum()
+                steps = [0, *np.unique(prefix[prefix < prefix[-1]]).tolist()]
+                uniforms.append(int(gen.choice(steps)) / int(prefix[-1]))
+                expected.append(_pps_index(w / w.sum(), uniforms[-1]))
+                w[expected[-1]] = 0
+            fallbacks.clear()
+            rng = np.random.default_rng(0)
+            assert _draw_seeds(net, rule, count, rng, allowed, iter(uniforms).__next__) == expected
+            assert fallbacks == uniforms
+        # Uniforms off the steps never take the O(N) float CDF.
+        fallbacks.clear()
+        big = generate_network(NetworkSpec(n_nodes=10000, n_infected=2000, rng_seed=3))
+        for seed in range(20):
+            select_seeds(big, rule, 10, np.random.default_rng(seed))
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [10, 1000, 10**5])
+    def test_float_cdf_within_half_the_margin(self, n):
+        # `_cdf_margin(n)` = (2n + 8) * 2**-53 bounds the float CDF's error in
+        # the worst case.  On these weights the largest error seen is at least
+        # 14 times below half of it (about 40 times below it at n = 10**5).
+        gen = np.random.default_rng(n)
+        for weights in (gen.integers(0, 30, n), gen.zipf(1.8, n).clip(max=10**6),
+                        np.where(gen.random(n) < 0.5, 0, gen.integers(1, 1000, n))):
+            weights[-1] = max(weights[-1], 1)
+            w = weights.astype(float)
+            cdf = (w / w.sum()).cumsum()
+            cdf /= cdf[-1]
+            prefix = weights.cumsum()
+            assert np.abs(cdf - prefix / prefix[-1]).max() < _cdf_margin(n) / 2
 
 
 class TestRecruitmentWeight:
@@ -791,6 +879,19 @@ PINNED_SAMPLES = {
         ),
         "3298d877f586291eeb68d232cffa6b7362baee2eedd25e492876a55d59c59f7e",
     ),
+    # Half the coupons expire, so the chains die out and reseed over and
+    # over, each reseed a PPS draw among 10k nodes.
+    "infected_only_reseeds_large": (
+        NetworkSpec(n_nodes=10000, n_infected=2000, differential_activity=1.8, rng_seed=34),
+        SamplingConfig(
+            n_seeds=3,
+            seed_rule=SeedRule.infected_only_pps(),
+            target_n=300,
+            rng_seed=16,
+            behavior=BehaviorConfig(pass_prob_uninfected=0.5, pass_prob_infected=0.5),
+        ),
+        "e78b09bf0108b4386b3f3e95364356aecdf7e85c4ae96d8c97dad98643be968a",
+    ),
 }
 
 
@@ -810,6 +911,9 @@ class TestPinnedSampleBytes:
         spec, cfg, _ = PINNED_SAMPLES["desk_behavior_other_seed"]
         _, s = _sample_sha256(generate_network(spec), cfg, tmp_path / "s.txt")
         assert s.reseed_count > 0 and s.counts.nonresponses > 0
+        spec, cfg, _ = PINNED_SAMPLES["infected_only_reseeds_large"]
+        _, s = _sample_sha256(generate_network(spec), cfg, tmp_path / "s.txt")
+        assert s.reseed_count >= 10 and not s.exhausted
 
 
 # Each case: a small condition, one per SS inclusion path, and the sha256 of
