@@ -261,6 +261,13 @@ def _cmd_experiment(args) -> int:
             f"estimation.population_size must be null or equal network.n_nodes "
             f"({config.network.n_nodes}) for experiment, got {config.population_size}"
         )
+    # `run_replication` derives all three seeds from base_seed and replication.
+    for key, seed in (("network.rng_seed", config.network.rng_seed),
+                      ("sampling.rng_seed", config.sampling.rng_seed),
+                      ("estimation.ss.rng_seed", config.ss_options.rng_seed)):
+        if seed:
+            raise ConfigError(f"{key} must be 0 or absent for experiment, which derives each "
+                              f"replication's seeds from experiment.base_seed, got {seed}")
     config = _with_flags(config, replications=args.reps, base_seed=args.seed)
     _echo_config(config)
     table = run_condition(config)

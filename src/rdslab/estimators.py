@@ -663,6 +663,7 @@ def adjusted_degree(sample: Sample, rcd: np.ndarray, infected: bool) -> float:
 
 
 def _h_components(sample: Sample, mean_cell_size: int) -> tuple[float, bool, bool]:
+    _require_nonempty(sample)
     counts = cross_group_counts(sample)
     c_iu = counts.proportion_infected_to_uninfected()
     c_ui = counts.proportion_uninfected_to_infected()
@@ -683,7 +684,6 @@ def h_estimate(sample: Sample, mean_cell_size: int = 12) -> float:
     reweighted by the equilibrium of the recruitment chain over degree
     groups; when every RCD is 1 the two estimates coincide exactly.
     """
-    _require_nonempty(sample)
     value, _, _ = _h_components(sample, mean_cell_size)
     return value
 

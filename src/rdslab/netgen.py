@@ -385,5 +385,7 @@ def load_network(path) -> Network:
         u, v = (as_int(tok, f"{path}:{lineno}") for tok in parts)
         if not (0 <= u < n and 0 <= v < n):
             raise ConfigError(f"{path}:{lineno}: edge endpoint out of range")
+        if u == v:
+            raise ConfigError(f"{path}:{lineno}: self loop at node {u}")
         edges.append((u, v))
     return Network(infected, np.array(edges, dtype=np.int64))

@@ -35,21 +35,20 @@ probability 0, or whose candidates all weigh 0, would spend one pass draw
 per coupon and change nothing, so its remaining coupons expire at once and
 the bit generator jumps over their draws (`_Uniforms.skip`).
 
-The loop reads Python lists built once per call (`_Tables`) and draws its
-uniforms in blocks (`_Uniforms`).  With unit weights it picks
-``eligible[int(u * k)]``, where the cumulative walk would stop; otherwise
-the walk's last running sum is the total, not ``sum()``, which compensates
-rounding from Python 3.12 on.  The draws (pass, pick, response, reseed)
-come in the order and number of a loop calling ``rng.random()`` and
-`recruitment_weight` for each candidate, so a seed gives its sample.
+The loop reads Python lists built once per call (`_Tables`), and one
+stream object hands out every draw of a run, seeds included (`_Uniforms`).
+With unit weights it picks ``eligible[int(u * k)]``, where the cumulative
+walk would stop; otherwise the walk's last running sum is the total, not
+``sum()``, which compensates rounding from Python 3.12 on.  The draws
+(seed, pass, pick, response, reseed) come in the order and number of a loop
+calling ``rng.random()`` and `recruitment_weight` for each candidate.
 
 A PPS seed draw (`pps_degree`, `infected_only_pps`) costs O(N + count log N):
 one integer prefix sum of the degrees over all N nodes, then a search per
 pick, certified against the float CDF of ``rng.choice(p=...)`` by a bound on
 its rounding error; only a uniform within that margin of a step rebuilds
-the float CDF (`_pps_picks`).  A reseed inside `run_rds` takes its uniform
-from `_Uniforms`; a uniform-k reseed syncs the generator first, as its
-``rng.choice`` draws bounded integers.
+the float CDF (`_pps_picks`).  A uniform-k draw is one ``rng.choice`` of
+bounded integers, so `_draw_seeds` first syncs the stream, a backward jump.
 
 `run_rds` appends each enrolment to plain lists and builds the columns of
 its `Sample` once, recruiter positions included; a sample built from records
@@ -479,14 +478,13 @@ def _pps_picks(weights: np.ndarray, count: int, random: Callable[[], float]) -> 
 
 
 def _draw_seeds(
-    net: Network, rule: SeedRule, count: int, rng: np.random.Generator, allowed: np.ndarray,
-    random: Optional[Callable[[], float]] = None,
+    net: Network, rule: SeedRule, count: int, uniforms: _Uniforms, allowed: np.ndarray
 ) -> list[int]:
     """``count`` distinct seeds under ``rule`` among the ``allowed`` nodes (bool mask).
 
-    A PPS pick takes one uniform from ``random`` (``rng.random`` by default)
-    and costs O(log N) after one O(N) pass (`_pps_picks`); a uniform-k draw
-    is one ``rng.choice`` over `_seed_pool`, whatever ``random`` is.
+    A PPS pick takes one uniform from ``uniforms.next`` and costs O(log N)
+    after one O(N) pass (`_pps_picks`); a uniform-k draw syncs ``uniforms``
+    and makes one ``choice`` over `_seed_pool` with its generator.
     """
     pps = rule.variant in _PPS_VARIANTS
     if pps:
@@ -500,8 +498,9 @@ def _draw_seeds(
             f"need {count} eligible seed nodes under rule {rule.variant}, found {found}"
         )
     if pps:
-        return _pps_picks(weights, count, random or rng.random)
-    picks = rng.choice(len(pool), size=count, replace=False)
+        return _pps_picks(weights, count, uniforms.next)
+    uniforms.sync()  # `choice` draws bounded integers, not doubles
+    picks = uniforms.rng.choice(len(pool), size=count, replace=False)
     return [int(pool[j]) for j in np.atleast_1d(picks)]
 
 
@@ -511,11 +510,14 @@ def select_seeds(
     """Draw ``count`` distinct seed nodes from the whole network.
 
     PPS rules cost O(N + count log N) and pick as ``count`` successive
-    ``rng.choice(p=...)`` calls would, each picked weight zeroed.
+    ``rng.choice(p=...)`` calls would, each picked weight zeroed, and leave ``rng`` as they would.
     """
     if count < 1:
         raise ConfigError(f"seed count must be >= 1, got {count}")
-    return _draw_seeds(net, rule, count, rng, np.ones(net.n_nodes, dtype=bool))
+    uniforms = _Uniforms(rng)
+    seeds = _draw_seeds(net, rule, count, uniforms, np.ones(net.n_nodes, dtype=bool))
+    uniforms.sync()
+    return seeds
 
 
 # Node states; untouched is 0 so a fresh bytearray starts all untouched.
@@ -575,52 +577,48 @@ class _Uniforms:
     ``rng.random(k)`` gives the doubles that k scalar calls would give, one
     bit-generator output each, so the values and their order are unchanged;
     ``next`` just costs a list step instead of a numpy call.  Before anything
-    else draws from ``rng``, `sync` rewinds it to just after the values
-    handed out so far.
+    else draws from ``rng``, `sync` jumps it back over the values of the
+    block not yet handed out.
     """
 
     _BLOCK = 128
 
     def __init__(self, rng: np.random.Generator) -> None:
-        self._rng = rng
-        self._state: Optional[dict] = None
+        self.rng = rng
         self._current = iter(())
         self.next = chain.from_iterable(self._blocks()).__next__
 
     def _blocks(self):
         while True:
-            self._state = self._rng.bit_generator.state
-            self._current = iter(self._rng.random(self._BLOCK).tolist())
+            self._current = iter(self.rng.random(self._BLOCK).tolist())
             yield self._current
+
+    def _jump(self, step: int) -> None:
+        # `step` outputs on, modulo PCG64's period of 2**128.  `advance` drops
+        # the 32-bit half that a bounded draw such as `choice` left buffered;
+        # doubles never read it, so it is put back for the next such draw.
+        bg = self.rng.bit_generator
+        kept = bg.state
+        bg.advance(step % 2**128)
+        jumped = bg.state
+        jumped["has_uint32"], jumped["uinteger"] = kept["has_uint32"], kept["uinteger"]
+        bg.state = jumped
 
     def skip(self, count: int) -> None:
         """Hand out the next ``count`` values unread, in O(1) beyond this block."""
         left = length_hint(self._current)
         deque(islice(self._current, count), maxlen=0)
         if count > left:
-            # One double per bit-generator output: jump the rest.  `advance`
-            # drops a buffered 32-bit half that a bounded integer draw (such
-            # as a uniform seed's `choice`) left; doubles never read it, so
-            # the next such draw must still find it.
-            bg = self._rng.bit_generator
-            kept = bg.state
-            bg.advance(count - left)
-            jumped = bg.state
-            jumped["has_uint32"], jumped["uinteger"] = kept["has_uint32"], kept["uinteger"]
-            bg.state = jumped
+            self._jump(count - left)  # one double per bit-generator output
 
     def sync(self) -> None:
-        unused = length_hint(self._current)
-        if unused:
-            self._rng.bit_generator.state = self._state
-            self._rng.random(self._BLOCK - unused)
-            deque(self._current, maxlen=0)
+        self._jump(-length_hint(self._current))
+        deque(self._current, maxlen=0)
 
 
 def run_rds(net: Network, config: SamplingConfig) -> Sample:
     """Run one referral sample; deterministic given ``config.rng_seed``."""
-    rng = np.random.default_rng(config.rng_seed)
-    uniforms = _Uniforms(rng)
+    uniforms = _Uniforms(np.random.default_rng(config.rng_seed))
     random = uniforms.next
     tables = _Tables(net, config.behavior)
     degrees, infected = tables.degrees, tables.infected
@@ -628,7 +626,6 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     uniform, weights_of = tables.uniform, tables.weights
     indptr, indices = net.indptr, net.indices
     coupons, target_n = config.coupons_per_respondent, config.target_n
-    pps_seeds = config.seed_rule.variant in _PPS_VARIANTS
     state = bytearray(net.n_nodes)
     # One entry per enrolment, recruiters by sample position.
     nodes, recruiters, waves = [], [], []
@@ -640,11 +637,10 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
         recruiters.append(recruiter)
         waves.append(wave)
 
-    for node in select_seeds(net, config.seed_rule, config.n_seeds, rng):
+    # n_seeds <= target_n (`SamplingConfig`); recruiter-less ones after them are reseeds.
+    for node in _draw_seeds(net, config.seed_rule, config.n_seeds, uniforms,
+                            np.ones(net.n_nodes, dtype=bool)):
         enroll(node, -1, 0)
-        if len(nodes) >= target_n:
-            break
-    n_seeds = len(nodes)  # respondents without a recruiter after these are reseeds
 
     position = 0  # the next holder; the ones before it have spent all their coupons
     while len(nodes) < target_n:
@@ -652,10 +648,8 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             if not config.reseed_on_die_out:
                 break
             untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
-            if not pps_seeds:
-                uniforms.sync()  # `rng.choice` draws bounded integers, not doubles
             try:
-                node = _draw_seeds(net, config.seed_rule, 1, rng, untouched, random)[0]
+                node = _draw_seeds(net, config.seed_rule, 1, uniforms, untouched)[0]
             except SamplingError:
                 break
             enroll(node, -1, 0)
@@ -703,7 +697,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     node_id = np.array(nodes, dtype=np.int64)
     recruiter_pos = np.array(recruiters, dtype=np.int64)
     seed = recruiter_pos < 0
-    reseed = seed & (np.arange(len(nodes)) >= n_seeds)
+    reseed = seed & (np.arange(len(nodes)) >= config.n_seeds)
     columns = (node_id, net.degrees[node_id], net.infected[node_id],
                np.where(seed, -1, node_id[recruiter_pos]), waves, reseed)
     # Every respondent got the same coupons, and each recruit used one.
@@ -752,6 +746,8 @@ def load_sample(path) -> Sample:
             key, token = parts
             if key not in _SAMPLE_META:
                 raise ConfigError(f"{where}: unknown comment key {key!r}")
+            if key in meta:
+                raise ConfigError(f"{where}: repeated comment key {key!r}")
             meta[key] = as_flag(token, where) if key == "exhausted" else as_int(token, where)
             continue
         parts = line.split()
@@ -760,7 +756,9 @@ def load_sample(path) -> Sample:
         order, node, degree, rec, wave = (as_int(parts[i], where) for i in (0, 1, 2, 4, 5))
         if order != len(records):
             raise ConfigError(f"{where}: order column out of sequence")
-        if not all(-(2**63) <= v < 2**63 for v in (node, degree, max(rec, -1), wave)):
+        if rec < -1:
+            raise ConfigError(f"{where}: recruiter_id must be -1 (none) or a node id, got {rec}")
+        if not all(-(2**63) <= v < 2**63 for v in (node, degree, rec, wave)):
             raise ConfigError(f"{where}: values must fit in a 64-bit signed integer")
         recruiter = None if rec < 0 else rec
         infected, reseed = as_flag(parts[3], where), as_flag(parts[6], where)

@@ -502,6 +502,37 @@ class TestExperiment:
                             for kind in ("replications", "summary")])
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("section,key", [
+        ("network", "network.rng_seed"),
+        ("sampling", "sampling.rng_seed"),
+        ("estimation", "estimation.ss.rng_seed"),
+    ])
+    def test_fixed_rng_seed_is_one_json_line(self, tmp_path, capsys, section, key):
+        # Every replication derives its own seeds, so a fixed one would be ignored.
+        line = "  ss: {rng_seed: 5}\n" if section == "estimation" else "  rng_seed: 5\n"
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(BASE_YAML.replace(f"{section}:\n", f"{section}:\n{line}"))
+        assert dispatch(["experiment", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "config"
+        assert key in payload["message"]
+        assert not (tmp_path / "x_replications.csv").exists()
+
+    def test_zero_rng_seeds_give_same_bytes_as_absent(self, tmp_path, config_path):
+        zeros_cfg = tmp_path / "zeros.yaml"
+        zeros_cfg.write_text(BASE_YAML.replace("network:\n", "network:\n  rng_seed: 0\n")
+                             .replace("sampling:\n", "sampling:\n  rng_seed: 0\n")
+                             .replace("estimation:\n", "estimation:\n  ss: {rng_seed: 0}\n"))
+        assert read_config(str(zeros_cfg)) == read_config(config_path)
+        outputs = []
+        for name, cfg in (("absent", config_path), ("zeros", str(zeros_cfg))):
+            assert dispatch(["experiment", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / f"{name}_{kind}.csv").read_bytes()
+                            for kind in ("replications", "summary")])
+        assert outputs[0] == outputs[1]
+
     def test_reps_flag_overrides(self, tmp_path, config_path):
         out = tmp_path / "exp"
         dispatch(["experiment", "--config", config_path, "--out", str(out),
@@ -575,6 +606,14 @@ class TestEstimateStdout:
         out_lines = capsys.readouterr().out.strip().splitlines()
         assert out_lines[0].startswith("condition_label,replication,naive")
         assert len(out_lines) == 2
+
+    def test_header_only_sample_fails_as_empty(self, tmp_path, capsys):
+        smp = tmp_path / "s.txt"
+        smp.write_text("order node_id degree infected recruiter_id wave reseed\n")
+        assert dispatch(["estimate", "--sample", str(smp), "--pop-size", "100"]) == 0
+        header, row = capsys.readouterr().out.strip().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["failure_code"] == "empty_sample"
 
 
 @pytest.fixture(scope="module")

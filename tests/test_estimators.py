@@ -585,6 +585,25 @@ class TestEstimateAll:
         assert full.vh is not None
         assert full.ss is not None
 
+    def test_empty_sample_fails_alike_everywhere(self):
+        empty = Sample([], EventCounts())
+        full = estimate_all(empty, 100)
+        assert full.failures == dict.fromkeys(("naive", "vh", "ss", "sh", "h"), EMPTY_SAMPLE)
+        with pytest.raises(EstimationError) as info:
+            h_estimate(empty)
+        assert info.value.code == EMPTY_SAMPLE
+
+    def test_weighted_estimator_failures_recorded(self, golden):
+        zero = make_sample([rec(0, 0, True), rec(1, 2, False), rec(2, 2, True, 1, 1)])
+        full = estimate_all(zero, 9, ss_options=SsOptions(method="enumerate"))
+        assert (full.vh, full.ss) == (None, None)
+        assert full.failures["vh"] == full.failures["ss"] == ZERO_DEGREE
+        assert full.naive == pytest.approx(2 / 3)
+        capped = SsOptions(method="enumerate", max_iterations=1, tolerance=1e-15)
+        full = estimate_all(golden, 9, ss_options=capped)
+        assert full.ss is None
+        assert full.failures == {"ss": SS_NONCONVERGENCE}
+
     def test_live_sample_all_defined(self):
         net = generate_network(NetworkSpec(rng_seed=21))
         s = run_rds(net, SamplingConfig(

@@ -394,6 +394,15 @@ class TestSerialization:
         path.write_text("5 2\n0\n0 1\n")
         with pytest.raises(ConfigError, match="infected"):
             load_network(path)
+        for text, message in [
+            ("5 2\n3 3\n0 1\n", "bad.txt:2: repeated infected id"),
+            ("5 1\n5\n0 1\n", "bad.txt:2: infected id 5 out of range"),
+            ("5 1\n0\n0 1\n1 5\n", "bad.txt:4: edge endpoint out of range"),
+            ("5 1\n0\n0 1\n2 2\n", "bad.txt:4: self loop at node 2"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                load_network(path)
 
     @pytest.mark.parametrize(
         "text,lineno",

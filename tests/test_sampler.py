@@ -7,7 +7,7 @@ import math
 import time
 import tracemalloc
 from collections import deque
-from itertools import accumulate
+from itertools import accumulate, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -176,7 +176,9 @@ class TestCertifiedPpsPick:
         for _ in range(count):
             expected.append(int(ref.choice(len(w), p=w / w.sum())))
             w[expected[-1]] = 0.0
-        assert _draw_seeds(net, rule, count, rng, allowed) == expected
+        uniforms = _Uniforms(rng)
+        assert _draw_seeds(net, rule, count, uniforms, allowed) == expected
+        uniforms.sync()
         assert rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("rule", _PPS_RULES)
@@ -205,8 +207,8 @@ class TestCertifiedPpsPick:
                 expected.append(_pps_index(w / w.sum(), uniforms[-1]))
                 w[expected[-1]] = 0
             fallbacks.clear()
-            rng = np.random.default_rng(0)
-            assert _draw_seeds(net, rule, count, rng, allowed, iter(uniforms).__next__) == expected
+            stream = SimpleNamespace(next=iter(uniforms).__next__)
+            assert _draw_seeds(net, rule, count, stream, allowed) == expected
             assert fallbacks == uniforms
         # Uniforms off the steps never take the O(N) float CDF.
         fallbacks.clear()
@@ -430,13 +432,22 @@ class TestUniforms:
         assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_sync_at_block_edges(self):
-        for count in (0, 1, _Uniforms._BLOCK - 1, _Uniforms._BLOCK, _Uniforms._BLOCK + 1):
+        # A uniform seed's `choice` leaves half of a 64-bit output buffered;
+        # the backward jump must keep it for the next such draw.
+        edges = (0, 1, _Uniforms._BLOCK - 1, _Uniforms._BLOCK, _Uniforms._BLOCK + 1)
+        for count, buffered in product(edges, (False, True)):
             rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+            if buffered:
+                rng.choice(15, size=1, replace=False)
+                ref.choice(15, size=1, replace=False)
+            assert rng.bit_generator.state["has_uint32"] == buffered
             uniforms = _Uniforms(rng)
             drawn = [uniforms.next() for _ in range(count)]
             uniforms.sync()
             assert drawn == ref.random(count).tolist()
             assert rng.bit_generator.state == ref.bit_generator.state
+            assert (rng.choice(15, size=1, replace=False).tolist()
+                    == ref.choice(15, size=1, replace=False).tolist())
 
 
 class TestRunRds:
@@ -609,8 +620,9 @@ class TestRunRds:
         # The centre of a ten-leaf star recruits with one coupon; every leaf
         # weighs ``weight`` and the pick's uniform is ``pick``.
         script = iter([0.0, pick, 0.0])  # pass, pick, response
-        monkeypatch.setattr(sampler_module, "_Uniforms",
-                            lambda rng: SimpleNamespace(next=script.__next__))
+        # The centre's seed draw syncs and takes one `choice` from the generator.
+        monkeypatch.setattr(sampler_module, "_Uniforms", lambda rng: SimpleNamespace(
+            next=script.__next__, sync=lambda: None, rng=rng))
         s = run_rds(star_network(10), SamplingConfig(
             n_seeds=1,
             seed_rule=SeedRule.uniform_highest(1),
@@ -740,6 +752,17 @@ class TestSampleSerialization:
         path.write_text("not a header at all\n")
         with pytest.raises(ConfigError):
             load_sample(path)
+        header = "order node_id degree infected recruiter_id wave reseed\n"
+        for rows, message in [
+            ("0 5 3 1 -1 0 0\n2 6 3 1 5 1 0\n", "bad.txt:3: order column out of sequence"),
+            ("0 5 3 1 -1 0 0\n1 6 3 1 -7 1 0\n", "bad.txt:3: recruiter_id must be -1"),
+            ("0 5 3 1 -1 0 0\n# coupons_lost 2\n", "bad.txt:3: unknown comment key"),
+            ("0 5 3 1 -1 0 0\n# coupons_issued 2\n# coupons_issued 3\n",
+             "bad.txt:4: repeated comment key 'coupons_issued'"),
+        ]:
+            path.write_text(header + rows)
+            with pytest.raises(ConfigError, match=message):
+                load_sample(path)
 
 
 def _sample_sha256(net: Network, cfg: SamplingConfig, path) -> tuple[str, Sample]:
@@ -1026,15 +1049,23 @@ def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, se
             break
     n_seeds = len(nodes)
 
+    def reseed(allowed: np.ndarray) -> int:
+        # Sync, then draw with a stream of the reseed's own, left where
+        # scalar draws would leave the generator.
+        uniforms.sync()
+        stream = _Uniforms(rng)
+        node = _draw_seeds(net, config.seed_rule, 1, stream, allowed)[0]
+        stream.sync()
+        return node
+
     while len(nodes) < target_n:
         if not queue:
             if not config.reseed_on_die_out:
                 exhausted = True
                 break
             untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
-            uniforms.sync()
             try:
-                node = _draw_seeds(net, config.seed_rule, 1, rng, untouched)[0]
+                node = reseed(untouched)
             except SamplingError:
                 exhausted = True
                 break
