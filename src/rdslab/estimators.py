@@ -12,8 +12,9 @@ nodes in the underlying population.  Five estimators are provided:
   to degree) from an estimated population, solved as a fixed point.
 * ``sh_estimate``: cross-group recruitment balance combined with harmonic
   mean degrees per group.
-* ``h_estimate``: as ``sh_estimate`` but with degree-adjusted means driven
-  by the equilibrium of the recruitment Markov chain over degree groups.
+* ``h_estimate``: the same balance step over degree-adjusted means (SH's
+  harmonic means are the case of unit RCDs), with RCDs from the equilibrium
+  of the recruitment Markov chain over degree groups.
 
 ``estimate_all`` computes the full set, converting estimator failures into
 stable failure codes instead of exceptions.
@@ -429,20 +430,19 @@ class CrossGroupCounts:
 
     def proportion_infected_to_uninfected(self) -> float:
         """Share of recruits of infected recruiters who are uninfected."""
-        if self.from_infected == 0:
-            raise EstimationError(
-                "infected members made no recruitments", code=NO_RECRUITMENTS_FROM_GROUP
-            )
-        return self.infected_to_uninfected / self.from_infected
+        return _recruit_share(self.infected_to_uninfected, self.from_infected, "infected")
 
     def proportion_uninfected_to_infected(self) -> float:
         """Share of recruits of uninfected recruiters who are infected."""
-        if self.from_uninfected == 0:
-            raise EstimationError(
-                "uninfected members made no recruitments",
-                code=NO_RECRUITMENTS_FROM_GROUP,
-            )
-        return self.uninfected_to_infected / self.from_uninfected
+        return _recruit_share(self.uninfected_to_infected, self.from_uninfected, "uninfected")
+
+
+def _recruit_share(part: int, recruits: int, group: str) -> float:
+    if recruits == 0:
+        raise EstimationError(
+            f"{group} members made no recruitments", code=NO_RECRUITMENTS_FROM_GROUP
+        )
+    return part / recruits
 
 
 def cross_group_counts(sample: Sample) -> CrossGroupCounts:
@@ -481,6 +481,20 @@ def _balance_ratio(
     return num / den
 
 
+def _cross_group_proportions(sample: Sample) -> tuple[float, float]:
+    """``(C_iu, C_ui)``, the prologue of both balance estimators."""
+    _require_nonempty(sample)
+    counts = cross_group_counts(sample)
+    return counts.proportion_infected_to_uninfected(), counts.proportion_uninfected_to_infected()
+
+
+def _balanced_share(sample: Sample, rcd: np.ndarray, c_iu: float, c_ui: float) -> float:
+    """`_balance_ratio` over each group's RCD-adjusted mean degree."""
+    adj_infected = adjusted_degree(sample, rcd, True)
+    adj_uninfected = adjusted_degree(sample, rcd, False)
+    return float(_balance_ratio(c_iu, c_ui, adj_infected, adj_uninfected))
+
+
 def sh_estimate(sample: Sample) -> float:
     """Cross-group balance estimate with harmonic mean degrees.
 
@@ -489,13 +503,8 @@ def sh_estimate(sample: Sample) -> float:
     group; returns exactly 1 when cross-group recruitment ran only from the
     uninfected toward the infected group.
     """
-    _require_nonempty(sample)
-    counts = cross_group_counts(sample)
-    c_iu = counts.proportion_infected_to_uninfected()
-    c_ui = counts.proportion_uninfected_to_infected()
-    mean_infected = harmonic_mean_degree(sample, True)
-    mean_uninfected = harmonic_mean_degree(sample, False)
-    return _balance_ratio(c_iu, c_ui, mean_infected, mean_uninfected)
+    c_iu, c_ui = _cross_group_proportions(sample)
+    return _balanced_share(sample, np.ones(sample.size), c_iu, c_ui)
 
 
 # --------------------------------------------------------------------------
@@ -663,18 +672,12 @@ def adjusted_degree(sample: Sample, rcd: np.ndarray, infected: bool) -> float:
 
 
 def _h_components(sample: Sample, mean_cell_size: int) -> tuple[float, bool, bool]:
-    _require_nonempty(sample)
-    counts = cross_group_counts(sample)
-    c_iu = counts.proportion_infected_to_uninfected()
-    c_ui = counts.proportion_uninfected_to_infected()
+    c_iu, c_ui = _cross_group_proportions(sample)
     groups = partition_degree_groups(sample, mean_cell_size)
     matrix, patched = degree_group_transition_matrix(sample, groups)
     equilibrium, unstable = equilibrium_distribution(matrix)
     rcd = rcd_values(sample, groups, equilibrium)
-    adj_infected = adjusted_degree(sample, rcd, True)
-    adj_uninfected = adjusted_degree(sample, rcd, False)
-    value = _balance_ratio(c_iu, c_ui, adj_infected, adj_uninfected)
-    return float(value), patched, unstable
+    return _balanced_share(sample, rcd, c_iu, c_ui), patched, unstable
 
 
 def h_estimate(sample: Sample, mean_cell_size: int = 12) -> float:
@@ -724,30 +727,24 @@ def estimate_all(
     ss_options: SsOptions = SsOptions(),
 ) -> EstimateSet:
     """Compute every estimator, capturing failures as codes."""
+    # Names are looked up at call time, so a wrapper set on the module sees each call.
+    calls = {
+        "naive": lambda: naive_estimate(sample),
+        "vh": lambda: vh_estimate(sample),
+        "ss": lambda: ss_estimate(sample, population_size, ss_options),
+        "sh": lambda: sh_estimate(sample),
+        "h": lambda: _h_components(sample, mean_cell_size),
+    }
     result = EstimateSet()
-    try:
-        result.naive = naive_estimate(sample)
-    except EstimationError as err:
-        result.failures["naive"] = err.code
-    try:
-        result.vh = vh_estimate(sample)
-    except EstimationError as err:
-        result.failures["vh"] = err.code
-    try:
-        result.ss = ss_estimate(sample, population_size, ss_options)
-    except EstimationError as err:
-        result.failures["ss"] = err.code
-    try:
-        result.sh = sh_estimate(sample)
-        result.sh_equal_one = result.sh == 1.0
-    except EstimationError as err:
-        result.failures["sh"] = err.code
-    try:
-        value, patched, unstable = _h_components(sample, mean_cell_size)
-        result.h = value
-        result.h_equal_one = value == 1.0
-        result.patched_transition_rows = patched
-        result.absorbing_degree_group = unstable
-    except EstimationError as err:
-        result.failures["h"] = err.code
+    for name, call in calls.items():
+        try:
+            value = call()
+        except EstimationError as err:
+            result.failures[name] = err.code
+            continue
+        if name == "h":
+            value, result.patched_transition_rows, result.absorbing_degree_group = value
+        setattr(result, name, value)
+    result.sh_equal_one = result.sh == 1.0
+    result.h_equal_one = result.h == 1.0
     return result

@@ -316,9 +316,11 @@ def export_csv(table, path) -> None:
 def load_replication_csv(path) -> ReplicationTable:
     """Read a replication table written by `export_csv`.
 
-    Exporting the result writes the same bytes again, except for values that
-    ten significant digits round past the largest double.  The base seed is
-    not in the file and reads as 0; a failed estimate takes the row's whole
+    Exporting the result writes the same bytes again.  Estimates must be
+    finite (a value that ten significant digits round past the largest
+    double reads as infinity and is refused) and the replication index,
+    ``realized_n`` and ``reseeds`` nonnegative.  The base seed is not in the
+    file and reads as 0; a failed estimate takes the row's whole
     ``failure_code`` cell as its code.
     """
     numbered = enumerate(read_text(path).split("\n"), start=1)
@@ -347,15 +349,16 @@ def load_replication_csv(path) -> ReplicationTable:
             if cell[name] == MISSING:
                 estimates.failures[name] = cell["failure_code"] or "recorded_failure"
             else:
-                setattr(estimates, name, as_float(cell[name], where))
-        rows.append(
-            ReplicationRow(
-                replication=as_int(cell["replication"], where),
-                estimates=estimates,
-                realized_n=as_int(cell["realized_n"], where),
-                reseeds=as_int(cell["reseeds"], where),
-            )
-        )
+                value = as_float(cell[name], where)
+                if not math.isfinite(value):
+                    raise ConfigError(f"{where}: {name} must be finite, got {cell[name]!r}")
+                setattr(estimates, name, value)
+        counts = {}
+        for column in ("replication", "realized_n", "reseeds"):
+            counts[column] = as_int(cell[column], where)
+            if counts[column] < 0:
+                raise ConfigError(f"{where}: {column} must be >= 0, got {counts[column]}")
+        rows.append(ReplicationRow(estimates=estimates, **counts))
     if label is None:
         raise ConfigError(f"{path}: table has no rows")
     return ReplicationTable(label=label, base_seed=0, rows=rows)

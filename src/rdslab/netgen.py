@@ -358,7 +358,11 @@ def save_network(net: Network, path) -> None:
 
 
 def load_network(path) -> Network:
-    """Read a network written by `save_network`."""
+    """Read a network written by `save_network`.
+
+    An edge listed twice, in either orientation, is refused with the line of
+    its repeat; `Network` itself merges repeats for in-memory callers.
+    """
     header, id_line, *edge_lines = read_text(path).split("\n") + [""]
     if len(header.split()) != 2:
         raise ConfigError(f"{path}: malformed header, expected 'n_nodes n_infected'")
@@ -376,6 +380,7 @@ def load_network(path) -> Network:
             raise ConfigError(f"{path}:2: infected id {i} out of range")
         infected[i] = True
     edges = []
+    first_seen: dict[tuple[int, int], int] = {}
     for lineno, line in enumerate(edge_lines, start=3):
         if not line.strip():
             continue
@@ -387,5 +392,8 @@ def load_network(path) -> Network:
             raise ConfigError(f"{path}:{lineno}: edge endpoint out of range")
         if u == v:
             raise ConfigError(f"{path}:{lineno}: self loop at node {u}")
+        seen = first_seen.setdefault((min(u, v), max(u, v)), lineno)
+        if seen != lineno:
+            raise ConfigError(f"{path}:{lineno}: edge {u} {v} repeats the edge of line {seen}")
         edges.append((u, v))
     return Network(infected, np.array(edges, dtype=np.int64))

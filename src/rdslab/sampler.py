@@ -758,7 +758,10 @@ def load_sample(path) -> Sample:
             raise ConfigError(f"{where}: order column out of sequence")
         if rec < -1:
             raise ConfigError(f"{where}: recruiter_id must be -1 (none) or a node id, got {rec}")
-        if not all(-(2**63) <= v < 2**63 for v in (node, degree, rec, wave)):
+        for column, value in (("node_id", node), ("degree", degree), ("wave", wave)):
+            if value < 0:
+                raise ConfigError(f"{where}: {column} must be >= 0, got {value}")
+        if not all(v < 2**63 for v in (node, degree, rec, wave)):
             raise ConfigError(f"{where}: values must fit in a 64-bit signed integer")
         recruiter = None if rec < 0 else rec
         infected, reseed = as_flag(parts[3], where), as_flag(parts[6], where)

@@ -368,6 +368,8 @@ class TestExitCodes:
             ("0 5 x 1 -1 0 0\n", 2),
             ("0 5 3 1 -1 0 0\n# exhausted yes\n", 3),
             ("0 5 3 1 -1 0 0\n1 99999999999999999999 3 1 5 1 0\n", 3),  # past 64 bits
+            ("0 -5 -3 1 -1 0 0\n", 2),
+            ("0 5 3 1 -1 0 0\n1 6 2 0 -1 0 0\n2 7 2 1 6 -4 0\n", 4),
         ]
     )
     def test_bad_sample_token_is_one_json_line(self, tmp_path, capsys, rows, lineno):
@@ -377,6 +379,25 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "config"
         assert f"{smp}:{lineno}" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "text,needle",
+        [
+            (b"sampling:\n  behavior:\n    pass_degree_ramp: [1.0]\n",
+             "sampling.behavior.pass_degree_ramp must be a 2-element list"),
+            (b"mean_cell_size: 5\n", "unknown config key mean_cell_size"),
+            (b"network: [1, 2\n", "not valid YAML"),
+            (b"label: caf\xe9\n", "not UTF-8 text (byte 10)"),
+        ],
+    )
+    def test_unreadable_config_is_one_json_line(self, tmp_path, capsys, text, needle):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_bytes(text)
+        assert dispatch(["gen", "--config", str(cfg), "--out", str(tmp_path / "n.txt")]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "config"
+        assert needle in payload["message"]
 
     def test_bad_flags_are_one(self, tmp_path):
         assert dispatch(["gen"]) == 1
@@ -575,6 +596,14 @@ class TestSummarize:
             "a,0,abc,0.5,0.5,0.5,0.5,0,0,,10,0",
             "a,0,0.5,0.5,0.5,0.5,0.5,0,0,,ten,0",
             "a,0,0.5,0.5,0.5,0.5,0.5,yes,0,,10,0",
+            "a,0,0.5,0.5,0.5,0.5,0.5,0,0,,10",
+            "a,0,nan,0.5,0.5,0.5,0.5,0,0,,10,0",
+            "a,0,0.5,inf,0.5,0.5,0.5,0,0,,10,0",
+            "a,0,0.5,0.5,0.5,0.5,-inf,0,0,,10,0",
+            "a,0,0.5,0.5,0.5,0.5,0.5,0,0,,1e309,0",
+            "a,-3,0.3,0.5,0.5,0.5,0.5,0,0,,200,0",
+            "a,0,0.3,0.5,0.5,0.5,0.5,0,0,,-200,0",
+            "a,0,0.3,0.5,0.5,0.5,0.5,0,0,,200,-1",
         ],
     )
     def test_bad_cell_names_the_line(self, tmp_path, capsys, row):
@@ -586,6 +615,27 @@ class TestSummarize:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "config"
         assert f"{path}:2" in payload["message"]
+
+    def test_repeated_replication_index_loads(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        row = "a,3,0.3,0.5,0.5,0.5,0.5,0,0,,200,1"
+        path.write_text(",".join(REPLICATION_COLUMNS) + f"\n{row}\n{row}\n")
+        assert [r.replication for r in load_replication_csv(path).rows] == [3, 3]
+
+    def test_header_only_table_is_one_json_line(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(REPLICATION_COLUMNS) + "\n")
+        assert dispatch(["summarize", str(path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "config", "message": f"{path}: table has no rows"}
+
+    def test_prints_summary_when_no_out(self, tmp_path, config_path, capsys):
+        dispatch(["experiment", "--config", config_path, "--out", str(tmp_path / "exp")])
+        table, written = str(tmp_path / "exp_replications.csv"), tmp_path / "resum.csv"
+        assert dispatch(["summarize", table, "--out", str(written)]) == 0
+        capsys.readouterr()
+        assert dispatch(["summarize", table]) == 0
+        assert capsys.readouterr().out == written.read_text()
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "foreign.csv"

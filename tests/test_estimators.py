@@ -241,6 +241,34 @@ class TestInclusionProbabilities:
             ss_estimate(s, 1000, SsOptions(method="enumerate"))
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("tolerance", 0.0, "tolerance must be > 0"),
+            ("tolerance", float("nan"), "tolerance must be > 0"),
+            ("max_iterations", 0, "max_iterations must be >= 1"),
+            ("mc_replications", 0, "mc_replications must be >= 1"),
+            ("rng_seed", -1, "rng_seed must be >= 0"),
+        ],
+    )
+    def test_options_out_of_bounds_rejected(self, name, value, message):
+        with pytest.raises(ConfigError, match=message):
+            SsOptions(**{name: value})
+
+    @pytest.mark.parametrize(
+        "counts,draws,message",
+        [
+            ({}, 0, "population composition is empty"),
+            ({0: 2, 3: 1}, 1, "population degrees must be >= 1"),
+            ({2: 0, 3: 1}, 1, "population degree counts must be >= 1"),
+            ({2: 3}, -1, r"draws must lie in \[0, population size\], got -1 of 3"),
+            ({2: 3}, 4, r"draws must lie in \[0, population size\], got 4 of 3"),
+        ],
+    )
+    def test_bad_composition_rejected(self, counts, draws, message):
+        with pytest.raises(ConfigError, match=message):
+            ss_probabilities(counts, draws)
+
     def test_monte_carlo_deterministic_in_seed(self):
         opts = SsOptions(method="monte_carlo", mc_replications=2000, rng_seed=11)
         a = ss_probabilities({2: 50, 6: 25}, 20, opts)

@@ -226,6 +226,13 @@ class TestPairedDifferenceTest:
         second = ReplicationTable("b", 0, rows)
         assert paired_difference_test(first, second, "naive").n_pairs == 3
 
+    def test_bad_arguments_rejected(self):
+        table = single_column_table("a", [0.2, 0.3])
+        with pytest.raises(ConfigError, match="unknown estimator 'rds2'"):
+            paired_difference_test(table, table, "rds2")
+        with pytest.raises(ConfigError, match="comparisons must be >= 1, got 0"):
+            paired_difference_test(table, table, "naive", comparisons=0)
+
     def test_too_few_pairs_rejected(self):
         with pytest.raises(EstimationError):
             paired_difference_test(

@@ -399,6 +399,8 @@ class TestSerialization:
             ("5 1\n5\n0 1\n", "bad.txt:2: infected id 5 out of range"),
             ("5 1\n0\n0 1\n1 5\n", "bad.txt:4: edge endpoint out of range"),
             ("5 1\n0\n0 1\n2 2\n", "bad.txt:4: self loop at node 2"),
+            ("3 0\n\n0 1\n1 0\n0 1\n", "bad.txt:4: edge 1 0 repeats the edge of line 3"),
+            ("5 1\n0\n0 1\n2 3\n\n0 1\n", "bad.txt:6: edge 0 1 repeats the edge of line 3"),
         ]:
             path.write_text(text)
             with pytest.raises(ConfigError, match=message):

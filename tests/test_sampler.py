@@ -66,6 +66,12 @@ class TestSeedRules:
             SeedRule("bogus")
         with pytest.raises(ConfigError):
             SeedRule.uniform_lowest(0)
+        with pytest.raises(ConfigError, match="seed rule pps_degree takes no k, got 3"):
+            SeedRule("pps_degree", k=3)
+
+    def test_zero_seed_count_rejected(self):
+        with pytest.raises(ConfigError, match="seed count must be >= 1, got 0"):
+            select_seeds(path_network(4), SeedRule.pps_degree(), 0, np.random.default_rng(0))
 
     def test_pps_star_center_half(self):
         # Center holds half the total degree, so it should appear as the
@@ -292,6 +298,12 @@ class TestRecruitmentWeight:
             SamplingConfig(n_seeds=10, target_n=5)
         with pytest.raises(ConfigError):
             SamplingConfig(coupons_per_respondent=-1)
+        with pytest.raises(ConfigError, match="n_seeds must be >= 1, got 0"):
+            SamplingConfig(n_seeds=0)
+        for name in ("pass_degree_ramp", "response_degree_ramp"):
+            for ramp in ((0.5, 1.5), (-0.1, 1.0)):
+                with pytest.raises(ConfigError, match=f"{name} values must be in"):
+                    BehaviorConfig(**{name: ramp})
 
 
 _weights = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 3.7]) | st.floats(0.0, 10.0)
@@ -759,10 +771,15 @@ class TestSampleSerialization:
             ("0 5 3 1 -1 0 0\n# coupons_lost 2\n", "bad.txt:3: unknown comment key"),
             ("0 5 3 1 -1 0 0\n# coupons_issued 2\n# coupons_issued 3\n",
              "bad.txt:4: repeated comment key 'coupons_issued'"),
+            ("0 -5 -3 1 -1 0 0\n", "bad.txt:2: node_id must be >= 0, got -5"),
+            ("0 5 3 1 -1 0 0\n1 6 -2 0 -1 0 0\n", "bad.txt:3: degree must be >= 0, got -2"),
+            ("0 5 3 1 -1 0 0\n1 7 2 1 5 -4 0\n", "bad.txt:3: wave must be >= 0, got -4"),
         ]:
             path.write_text(header + rows)
             with pytest.raises(ConfigError, match=message):
                 load_sample(path)
+        path.write_text(header + "0 5 0 1 -1 0 0\n")  # an isolated respondent
+        assert load_sample(path).degree.tolist() == [0]
 
 
 def _sample_sha256(net: Network, cfg: SamplingConfig, path) -> tuple[str, Sample]:
