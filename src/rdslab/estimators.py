@@ -69,6 +69,7 @@ SS_NONCONVERGENCE = "ss_nonconvergence"
 EMPTY_SAMPLE = "empty_sample"
 EMPTY_GROUP = "empty_group"
 ZERO_DEGREE = "zero_degree"
+ZERO_RCD_SUM = "zero_rcd_sum"
 
 #: ``auto`` enumerates successive sampling exactly up to this many units.
 ENUMERATION_LIMIT = 12
@@ -660,15 +661,20 @@ def adjusted_degree(sample: Sample, rcd: np.ndarray, infected: bool) -> float:
     """Recruitment-adjusted mean degree of one infection group.
 
     ``sum(RCD_i) / sum(RCD_i / degree_i)`` over the group's respondents;
-    reduces to the harmonic mean degree when every RCD is 1.
+    reduces to the harmonic mean degree when every RCD is 1.  Fails with
+    ``zero_rcd_sum`` when the equilibrium gives the group's degree groups no
+    mass, where the ratio would be 0/0.
     """
     members = np.flatnonzero(sample.infected == infected)
     _require_positive_degrees(sample, members)
+    group = "infected" if infected else "uninfected"
     if members.size == 0:
-        group = "infected" if infected else "uninfected"
         raise EstimationError(f"no {group} respondents in sample", code=EMPTY_GROUP)
     weights = np.asarray(rcd, dtype=np.float64)[members]
-    return _running_total(weights) / _running_total(weights / sample.degree[members])
+    total = _running_total(weights)
+    if total == 0.0:
+        raise EstimationError(f"RCDs of the {group} respondents sum to 0", code=ZERO_RCD_SUM)
+    return total / _running_total(weights / sample.degree[members])
 
 
 def _h_components(sample: Sample, mean_cell_size: int) -> tuple[float, bool, bool]:

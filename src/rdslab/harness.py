@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -269,15 +269,16 @@ def _failure_token(estimates: EstimateSet) -> str:
     return "|".join(codes)
 
 
-def csv_lines(table) -> list[str]:
+def csv_lines(table) -> Iterator[str]:
     """A replication table or a condition summary as CSV lines, header first.
 
-    Output is byte-stable: fixed header, fixed column order, decimals with
-    10 significant digits, ``NA`` for failed estimates.
+    The type is checked on the call; each line is then formatted as it is
+    read.  Output is byte-stable: fixed header, fixed column order, decimals
+    with 10 significant digits, ``NA`` for failed estimates.
     """
     if isinstance(table, ReplicationTable):
         header = REPLICATION_COLUMNS
-        rows = [
+        rows = (
             [
                 str(row.replication),
                 *(_format_value(row.estimates.value_of(name)) for name in ESTIMATOR_NAMES),
@@ -288,10 +289,10 @@ def csv_lines(table) -> list[str]:
                 str(row.reseeds),
             ]
             for row in sorted(table.rows, key=lambda r: r.replication)
-        ]
+        )
     elif isinstance(table, ConditionSummary):
         header = SUMMARY_COLUMNS
-        rows = [
+        rows = (
             [
                 row.estimator,
                 _format_value(row.mean),
@@ -301,16 +302,18 @@ def csv_lines(table) -> list[str]:
                 str(row.n_reps),
             ]
             for row in table.rows
-        ]
+        )
     else:
         raise ConfigError(f"cannot export object of type {type(table).__name__}")
-    return [",".join(header)] + [",".join([table.label, *cells]) for cells in rows]
+    lines = (",".join([table.label, *cells]) for cells in rows)
+    return (line for part in ([",".join(header)], lines) for line in part)
 
 
 def export_csv(table, path) -> None:
-    """Write `csv_lines` of a replication table or a condition summary."""
+    """Write `csv_lines` of a table line by line; another type is refused before opening."""
+    lines = csv_lines(table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(csv_lines(table)) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
 
 
 def load_replication_csv(path) -> ReplicationTable:

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from rdslab import (
+    ESTIMATOR_NAMES,
     ConfigError,
     CrossGroupCounts,
     DegreeGroups,
@@ -42,6 +43,7 @@ from rdslab.estimators import (
     NO_RECRUITMENTS_FROM_GROUP,
     SS_NONCONVERGENCE,
     ZERO_DEGREE,
+    ZERO_RCD_SUM,
     _asymptotic_inclusion,
     _balance_ratio,
     _ss_fixed_point,
@@ -642,6 +644,19 @@ class TestEstimateAll:
             assert value is not None
             assert 0.0 <= value <= 1.0
 
+    def test_zero_rcd_sum_is_coded(self):
+        # The equilibrium puts no mass on the degree group of the one
+        # infected respondent, so the infected RCDs sum to 0.
+        degrees, recruiters = [1, 4, 2, 5, 1, 2, 1, 2], [None, 0, 1, None, 0, None, 4, 4]
+        s = make_sample([rec(i, d, i == 0, r)
+                         for i, (d, r) in enumerate(zip(degrees, recruiters))])
+        full = estimate_all(s, 100, mean_cell_size=3)
+        assert full.h is None
+        assert full.failures == {"h": ZERO_RCD_SUM}
+        with pytest.raises(EstimationError) as info:
+            h_estimate(s, mean_cell_size=3)
+        assert info.value.code == ZERO_RCD_SUM
+
 
 class TestInvariances:
     def test_degree_scale_invariance(self):
@@ -833,6 +848,8 @@ def _ref_adjusted(sample, rcd, infected):
         n_g += 1
     if n_g == 0:
         raise EstimationError("empty group", code=EMPTY_GROUP)
+    if num == 0.0:
+        raise EstimationError("zero rcd sum", code=ZERO_RCD_SUM)
     return num / den
 
 
@@ -891,6 +908,40 @@ def loop_samples(draw):
             recruiter = draw(st.none() | st.integers(0, n + 3))
         records.append(RespondentRecord(ids[i], degrees[i], infected[i], recruiter, 0))
     return Sample(records, EventCounts())
+
+
+def _assert_coded_or_unit(full):
+    for name in ESTIMATOR_NAMES:
+        value = full.value_of(name)
+        if value is None:
+            assert full.failures[name]
+        else:
+            assert name not in full.failures
+            assert math.isfinite(value) and 0.0 <= value <= 1.0, (name, value)
+
+
+class TestEstimateAllIsCodedOrInUnitInterval:
+    """Each estimate is a coded failure or a finite share, with no numpy warning."""
+
+    @given(sample=loop_samples(), extra=st.integers(0, 40), cell=st.integers(1, 8))
+    def test_loop_samples(self, sample, extra, cell):
+        try:
+            full = estimate_all(sample, sample.size + extra, mean_cell_size=cell)
+        except ConfigError:
+            # Recruiter links that do not resolve are refused, not estimated.
+            with pytest.raises(ConfigError):
+                sample.recruiter_pos
+            return
+        _assert_coded_or_unit(full)
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(20, 80),
+           target_n=st.integers(4, 15), cell=st.integers(1, 4))
+    @example(seed=0, n_nodes=40, target_n=15, cell=1)  # zero RCD sum
+    def test_live_samples(self, seed, n_nodes, target_n, cell):
+        net = generate_network(NetworkSpec(
+            n_nodes=n_nodes, n_infected=n_nodes // 3, mean_degree=3.0, rng_seed=seed))
+        s = run_rds(net, SamplingConfig(n_seeds=2, target_n=target_n, rng_seed=seed))
+        _assert_coded_or_unit(estimate_all(s, n_nodes, mean_cell_size=cell))
 
 
 class TestArrayEstimatorsMatchLoopReference:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,8 +294,26 @@ class TestCsvExport:
         assert (folder / "a.csv").read_bytes() == (folder / "b.csv").read_bytes()
 
     def test_unknown_object_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            export_csv({"not": "a table"}, tmp_path / "x.csv")
+        for table in ({"not": "a table"}, object()):
+            with pytest.raises(ConfigError, match="cannot export"):
+                export_csv(table, tmp_path / "x.csv")
+            assert not (tmp_path / "x.csv").exists()
+
+    def test_export_memory_does_not_grow_with_rows(self, tmp_path):
+        # Lines are written as they are formatted: what is left is the
+        # sorted list of row references, about 160 KB for 20,000 rows.
+        real = run_condition(dataclasses.replace(SMALL, replications=3)).rows
+        rows = [dataclasses.replace(real[i % 3], replication=i) for i in range(20_000)]
+        table = ReplicationTable("big", 0, rows[::-1])
+        tracemalloc.start()
+        try:
+            export_csv(table, tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        lines = (tmp_path / "big.csv").read_text().splitlines()
+        assert len(lines) == 20_001 and lines[-1].startswith("big,19999,")
 
 
 class TestPopulationIdentity:

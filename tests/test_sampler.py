@@ -30,6 +30,7 @@ from rdslab import (
     SeedRule,
     SsOptions,
     csv_lines,
+    export_csv,
     generate_network,
     load_sample,
     recruitment_weight,
@@ -1014,11 +1015,14 @@ def _lines_sha256(table) -> str:
 
 class TestPinnedExperimentBytes:
     @pytest.mark.parametrize("case", sorted(PINNED_EXPERIMENTS))
-    def test_experiment_bytes_unchanged(self, case):
+    def test_experiment_bytes_unchanged(self, case, tmp_path):
         condition, replications_digest, summary_digest = PINNED_EXPERIMENTS[case]
         table = run_condition(condition)
-        assert _lines_sha256(table) == replications_digest
-        assert _lines_sha256(summarize(table)) == summary_digest
+        for exported, digest in ((table, replications_digest),
+                                 (summarize(table), summary_digest)):
+            assert _lines_sha256(exported) == digest
+            export_csv(exported, tmp_path / "table.csv")
+            assert hashlib.sha256((tmp_path / "table.csv").read_bytes()).hexdigest() == digest
 
     def test_cases_cover_their_paths(self):
         # `auto` enumerates up to ENUMERATION_LIMIT units and takes the
