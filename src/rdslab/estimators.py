@@ -280,19 +280,22 @@ def _asymptotic_inclusion(
     # f(t) = sum N_k (1 - exp(-d_k t)) - draws is increasing and concave, so
     # Newton from t = 0 rises monotonically to the root; stop once a step no
     # longer moves t.
+    # ``lost = expm1(-d t)`` is -pi, carried in place: ``N @ pi`` is exactly
+    # ``-(N @ lost)`` and ``1 - pi`` exactly ``1 + lost``.
     t = 0.0
-    included = np.zeros(degrees.size)
+    lost = np.zeros(degrees.size)
+    neg_rate = -rate
     size_rate = size * rate
     for _ in range(_NEWTON_MAX_STEPS):
-        shortfall = draws - float(size @ included)
+        shortfall = draws + float(size @ lost)
         if shortfall <= 0.0:
             break
-        advanced = t + shortfall / float(size_rate @ (1.0 - included))
+        advanced = t + shortfall / float(size_rate @ (1.0 + lost))
         if advanced <= t:
             break
         t = advanced
-        included = -np.expm1(-rate * t)
-    return included
+        np.expm1(np.multiply(neg_rate, t, out=lost), out=lost)
+    return 0.0 - lost  # not -lost, which would turn the start's zeros into -0.0
 
 
 def _inclusion_map(options: SsOptions, population_size: int):

@@ -175,12 +175,8 @@ def summarize(table: ReplicationTable) -> ConditionSummary:
     out = []
     n_reps = len(table.rows)
     for name in ESTIMATOR_NAMES:
-        values = [
-            row.estimates.value_of(name)
-            for row in table.rows
-            if row.estimates.value_of(name) is not None
-        ]
-        arr = np.array(values, dtype=np.float64)
+        values = (row.estimates.value_of(name) for row in table.rows)
+        arr = np.array([v for v in values if v is not None], dtype=np.float64)
         mean = float(arr.mean()) if arr.size else float("nan")
         variance = float(arr.var(ddof=1)) if arr.size > 1 else float("nan")
         ones = int((arr == 1.0).sum())

@@ -19,6 +19,7 @@ format, see `save_network`.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -41,6 +42,15 @@ __all__ = [
 
 #: Largest node count a spec or a network file may declare.
 MAX_NODES = 10**7
+
+
+def _key_layout(n: int) -> tuple[int, type]:
+    """Bits per node id in a CSR key ``src << bits | dst`` over ``n`` nodes, and the key dtype.
+
+    Two ids fit a signed 32-bit key up to n = 2**15, and an int64 one up to `MAX_NODES`.
+    """
+    bits = (n - 1).bit_length()
+    return bits, np.int32 if bits <= 15 else np.int64
 
 
 @dataclass(frozen=True)
@@ -130,27 +140,36 @@ class Network:
             raise ConfigError("edge endpoint out of range")
         if (edges[:, 0] == edges[:, 1]).any():
             raise ConfigError("self loops are not allowed")
-        # Row ``src`` of the CSR holds the keys ``src << bits | dst`` of both
-        # directions; with n <= MAX_NODES they fit an int64 with room to spare.
-        bits = (n - 1).bit_length()
-        keys = np.empty((2, edges.shape[0]), dtype=np.int64)
+        bits, dtype = _key_layout(n)
+        keys = np.empty((2, edges.shape[0]), dtype=dtype)
         np.left_shift(edges.T, bits, out=keys)
         keys |= edges.T[::-1]
-        keys = keys.reshape(-1)
+        self._fill(infected, keys.reshape(-1), bits)
+
+    @classmethod
+    def _from_keys(cls, infected: np.ndarray, keys: np.ndarray, bits: int) -> Network:
+        """A network from its CSR keys, taken unchecked; see `_fill`."""
+        net = cls.__new__(cls)
+        net._fill(infected, keys, bits)
+        return net
+
+    def _fill(self, infected: np.ndarray, keys: np.ndarray, bits: int) -> None:
+        """Build the CSR from ``keys``, which it sorts in place.
+
+        ``keys`` holds ``src << bits | dst`` (`_key_layout`) for both directions
+        of every edge, in any order, repeats allowed.
+        """
         keys.sort()
-        # Each row's length counts every endpoint, less the repeated keys dropped.
-        degrees = np.bincount(edges.reshape(-1), minlength=n)
-        repeated = keys[1:] == keys[:-1]
-        if repeated.any():
-            dropped = keys[1:][repeated]
-            keys = keys[np.concatenate([[True], ~repeated])]
-            degrees -= np.bincount(dropped >> bits, minlength=n)
-        keys &= (1 << bits) - 1
+        if (keys[1:] == keys[:-1]).any():  # only a caller's edge list repeats
+            keys = np.unique(keys)
+        # One int64 buffer holds each key's row for the bincount, then its column.
+        indices = np.right_shift(keys, bits, out=np.empty(keys.shape, dtype=np.int64))
+        self.degrees = np.bincount(indices, minlength=infected.shape[0])
+        np.bitwise_and(keys, (1 << bits) - 1, out=indices)
         self.infected = infected
-        self.degrees = degrees
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.indptr[1:])
-        self.indices = keys
+        self.indptr = np.zeros(infected.shape[0] + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=self.indptr[1:])
+        self.indices = indices
 
     @property
     def edges(self) -> np.ndarray:
@@ -246,6 +265,19 @@ def solve_block_probabilities(spec: NetworkSpec) -> BlockProbabilities:
     return BlockProbabilities(p_aa, p_ab, p_bb)
 
 
+def _geometric_gaps(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """The values and draws of ``rng.geometric(p, size)``, as floats below p = 1/3.
+
+    There numpy inverts one exponential per gap, ``ceil(E / -log1p(-p))``;
+    this takes the logarithm once.  From 1/3 up numpy searches instead.
+    """
+    if p >= 1 / 3:
+        return rng.geometric(p, size=size)
+    gaps = rng.standard_exponential(size)
+    gaps /= -math.log1p(-p)
+    return np.ceil(gaps, out=gaps)
+
+
 def _skip_sample(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     """Ascending indices in ``[0, m)``, each kept independently with probability ``p``.
 
@@ -253,14 +285,16 @@ def _skip_sample(rng: np.random.Generator, m: int, p: float) -> np.ndarray:
     the cost is O(kept).  Positions add up in float64, where the huge gaps of
     a tiny ``p`` cannot overflow, exactly below 2**53 (no block reaches that).
     """
-    parts, last = [np.zeros(0)], -1.0
+    parts, last = [], -1.0
     while p > 0.0 and last < m - 1:
         # Enough gaps to reach the end of the block in one draw almost always.
         mean = (m - 1 - last) * p
-        gaps = rng.geometric(p, size=int(mean + 4.0 * np.sqrt(mean)) + 16)
-        parts.append(last + np.cumsum(gaps, dtype=np.float64))
-        last = parts[-1][-1]
-    kept = np.concatenate(parts)
+        kept = np.cumsum(_geometric_gaps(rng, p, int(mean + 4.0 * np.sqrt(mean)) + 16),
+                         dtype=np.float64)
+        kept += last
+        parts.append(kept)
+        last = kept[-1]
+    kept = parts[0] if len(parts) == 1 else np.concatenate([np.zeros(0), *parts])
     return kept[: np.searchsorted(kept, m)].astype(np.int64)
 
 
@@ -285,10 +319,11 @@ def generate_network(spec: NetworkSpec) -> Network:
     Nodes ``0 .. n_infected - 1`` are infected.  Deterministic given
     ``spec.rng_seed``.
 
-    The blocks decode into one edge array, so the peak memory of a call is
-    little more than that array and the CSR built from it: at mean degree 7
-    the tracemalloc peak is about 1.5 MB at 10,000 nodes and 13 MB at
-    100,000 nodes.
+    Each block decodes straight into the CSR keys of both directions of its
+    edges (`Network._fill`), 32-bit up to 2**15 nodes, so the peak memory of
+    a call is little more than the keys and the CSR built from them: at mean
+    degree 7 and one infected node in five the tracemalloc peak is about
+    1.2 MB at 10,000 nodes and 13 MB at 100,000 nodes.
     """
     p = solve_block_probabilities(spec)
     rng = np.random.default_rng(spec.rng_seed)
@@ -297,19 +332,26 @@ def generate_network(spec: NetworkSpec) -> Network:
     ii = _skip_sample(rng, n_a * (n_a - 1) // 2, p.infected_infected)
     cross = _skip_sample(rng, n_a * n_b, p.cross)
     uu = _skip_sample(rng, n_b * (n_b - 1) // 2, p.uninfected_uninfected)
-    # Each block decodes straight into its rows of the one edge array, and
-    # its pair indices are freed before the next block decodes.
+    bits, dtype = _key_layout(n)
     a, b = len(ii), len(ii) + len(cross)
-    edges = np.empty((b + len(uu), 2), dtype=np.int64)
-    edges[:a, 0], edges[:a, 1] = _triangle_pairs(ii, n_a)
+    keys = np.empty((2, b + len(uu)), dtype=dtype)
+
+    def put(rows: slice, u: np.ndarray, v: np.ndarray, shift_u: int, shift_v: int) -> None:
+        """Write edges ``(u + shift_u, v + shift_v)`` to ``rows``: forward keys, backward keys."""
+        u += shift_u
+        v += shift_v
+        for out, src, dst in ((keys[0, rows], u, v), (keys[1, rows], v, u)):
+            np.left_shift(src, bits, out=out)
+            out |= dst
+
+    # Each block's pair indices are freed before the next block decodes.
+    put(slice(0, a), *_triangle_pairs(ii, n_a), 0, 0)
     del ii
-    np.divmod(cross, n_b, out=(edges[a:b, 0], edges[a:b, 1]))
-    edges[a:b, 1] += n_a
+    put(slice(a, b), *np.divmod(cross, n_b), 0, n_a)
     del cross
-    edges[b:, 0], edges[b:, 1] = _triangle_pairs(uu, n_b)
-    edges[b:] += n_a
+    put(slice(b, None), *_triangle_pairs(uu, n_b), n_a, n_a)
     del uu
-    return Network(np.arange(n) < n_a, edges)
+    return Network._from_keys(np.arange(n) < n_a, keys.reshape(-1), bits)
 
 
 def network_summary(net: Network) -> NetworkStats:

@@ -35,8 +35,9 @@ probability 0, or whose candidates all weigh 0, would spend one pass draw
 per coupon and change nothing, so its remaining coupons expire at once and
 the bit generator jumps over their draws (`_Uniforms.skip`).
 
-The loop reads Python lists built once per call (`_Tables`), and one
-stream object hands out every draw of a run, seeds included (`_Uniforms`).
+The loop reads the network's arrays through memoryviews, which index to
+Python ints and bools without copying (`_Tables`), and one stream object
+hands out every draw of a run, seeds included (`_Uniforms`).
 With unit weights it picks ``eligible[int(u * k)]``, where the cumulative
 walk would stop; otherwise the walk's last running sum is the total, not
 ``sum()``, which compensates rounding from Python 3.12 on.  The draws
@@ -527,7 +528,8 @@ _UNTOUCHED, _SAMPLED, _REFUSED = 0, 1, 2
 class _Tables:
     """Behaviour factors of one `run_rds` call, as Python lists.
 
-    ``pass_prob[g][d]`` and ``response_prob[g][d]`` are the group-``g``
+    ``degrees`` and ``infected`` are zero-copy memoryviews of the network's
+    arrays.  ``pass_prob[g][d]`` and ``response_prob[g][d]`` are the group-``g``
     probability times the degree-``d`` ramp.  The recruitment weight of
     candidate ``v`` for holder ``h`` is
     ``group[infected[h]][infected[v]] * kernel[|d_h - d_v|] * ramp[v]``: the
@@ -537,8 +539,8 @@ class _Tables:
     """
 
     def __init__(self, net: Network, b: BehaviorConfig) -> None:
-        self.degrees: list[int] = net.degrees.tolist()
-        self.infected: list[bool] = net.infected.tolist()
+        self.degrees = memoryview(net.degrees)
+        self.infected = memoryview(net.infected)
         degree_range = range(int(net.degrees.max(initial=0)) + 1)
 
         def by_group_degree(uninfected: float, infected: float, ramp) -> list[list[float]]:
@@ -624,7 +626,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     degrees, infected = tables.degrees, tables.infected
     pass_prob, response_prob = tables.pass_prob, tables.response_prob
     uniform, weights_of = tables.uniform, tables.weights
-    indptr, indices = net.indptr, net.indices
+    indptr, indices = memoryview(net.indptr), memoryview(net.indices)
     coupons, target_n = config.coupons_per_respondent, config.target_n
     state = bytearray(net.n_nodes)
     # One entry per enrolment, recruiters by sample position.
@@ -655,9 +657,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             enroll(node, -1, 0)
             continue
         holder = nodes[position]
-        eligible = [
-            v for v in indices[indptr[holder] : indptr[holder + 1]].tolist() if not state[v]
-        ]
+        eligible = [v for v in indices[indptr[holder] : indptr[holder + 1]] if not state[v]]
         weights = None if uniform else weights_of(holder, eligible)
         p_pass = pass_prob[infected[holder]][degrees[holder]]
         for left in range(coupons, 0, -1):

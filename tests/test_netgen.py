@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rdslab import (
@@ -22,9 +22,43 @@ from rdslab import (
     save_network,
     solve_block_probabilities,
 )
-from rdslab.netgen import MAX_NODES, _triangle_pairs, expected_group_degrees
+from rdslab.netgen import MAX_NODES, _geometric_gaps, _triangle_pairs, expected_group_degrees
 
 DEFAULT = NetworkSpec()
+# The benchmark workloads' network specs: desk_da18, desk_behavior500 and large_pop.
+WORKLOAD_SPECS = [
+    NetworkSpec(differential_activity=1.8),
+    NetworkSpec(),
+    NetworkSpec(n_nodes=10_000, n_infected=2_000, differential_activity=1.8),
+]
+
+
+def reference_network(spec: NetworkSpec) -> Network:
+    """The generator drawn the plain way: ``rng.geometric`` gaps, one edge array, `Network`."""
+    p = solve_block_probabilities(spec)
+    rng = np.random.default_rng(spec.rng_seed)
+
+    def skip_sample(m, prob):
+        parts, last = [np.zeros(0)], -1.0
+        while prob > 0.0 and last < m - 1:
+            mean = (m - 1 - last) * prob
+            gaps = rng.geometric(prob, size=int(mean + 4.0 * np.sqrt(mean)) + 16)
+            parts.append(last + np.cumsum(gaps, dtype=np.float64))
+            last = parts[-1][-1]
+        kept = np.concatenate(parts)
+        return kept[: np.searchsorted(kept, m)].astype(np.int64)
+
+    n, n_a = spec.n_nodes, spec.n_infected
+    n_b = n - n_a
+    ii = skip_sample(n_a * (n_a - 1) // 2, p.infected_infected)
+    cross = skip_sample(n_a * n_b, p.cross)
+    uu = skip_sample(n_b * (n_b - 1) // 2, p.uninfected_uninfected)
+    edges = np.concatenate([
+        np.column_stack(_triangle_pairs(ii, n_a)),
+        np.column_stack([cross // n_b, n_a + cross % n_b]),
+        n_a + np.column_stack(_triangle_pairs(uu, n_b)),
+    ])
+    return Network(np.arange(n) < n_a, edges)
 
 
 @st.composite
@@ -210,6 +244,64 @@ class TestGenerateNetwork:
                 assert abs(counts[u, v] / reps - prob) < 4 * spread, (u, v)
         assert counts[np.tril_indices(6)].sum() == 0
 
+    @pytest.mark.parametrize("spec", WORKLOAD_SPECS)
+    @pytest.mark.parametrize("seed", [0, 1, 17, 1001])
+    def test_workload_specs_equal_reference(self, spec, seed):
+        self._assert_equals_reference(dataclasses.replace(spec, rng_seed=seed))
+
+    @given(data=st.data())
+    @example(data=None)
+    def test_small_specs_equal_reference(self, data):
+        if data is None:  # two nodes, every block probability 1
+            spec = NetworkSpec(n_nodes=2, n_infected=1, mean_degree=1.0, homophily_ratio=1.0)
+        else:
+            n = data.draw(st.integers(2, 60))
+            spec = NetworkSpec(
+                n_nodes=n,
+                n_infected=data.draw(st.integers(1, n - 1)),
+                mean_degree=data.draw(st.floats(0.01, 1.0)) * (n - 1),
+                homophily_ratio=data.draw(st.floats(0.2, 8.0)),
+                differential_activity=data.draw(st.floats(0.3, 3.0)),
+                rng_seed=data.draw(st.integers(0, 2**32)),
+            )
+            try:
+                solve_block_probabilities(spec)
+            except ConfigError:
+                assume(False)
+        self._assert_equals_reference(spec)
+
+    def test_blocks_at_and_above_a_third_equal_reference(self):
+        # Blocks of 2/3, 1/3 and 4/9, where numpy's `geometric` searches.
+        spec = NetworkSpec(n_nodes=6, n_infected=2, mean_degree=2.0, homophily_ratio=2.0)
+        for seed in range(40):
+            self._assert_equals_reference(dataclasses.replace(spec, rng_seed=seed))
+
+    def test_int64_keys_equal_reference(self):
+        # Above 2**15 nodes two node ids no longer fit a 32-bit key.
+        self._assert_equals_reference(NetworkSpec(n_nodes=40_000, n_infected=8_000, rng_seed=3))
+
+    @staticmethod
+    def _assert_equals_reference(spec):
+        net, want = generate_network(spec), reference_network(spec)
+        assert net == want
+        assert net.degrees.tolist() == want.degrees.tolist()
+        for name in ("degrees", "indptr", "indices"):
+            assert getattr(net, name).dtype == np.int64, name
+
+    @pytest.mark.parametrize(
+        "p",
+        [1e-9, 1e-4, 0.0039, 0.0195, 0.1, 0.3, np.nextafter(1 / 3, 0), 1 / 3,
+         np.nextafter(1 / 3, 1), 0.5, 1.0],
+    )
+    def test_gaps_are_numpys_geometric(self, p):
+        # numpy inverts an exponential below p = 1/3 and searches above; a
+        # numpy release that draws `geometric` otherwise must fail here.
+        for seed in range(5):
+            mine, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            gaps = _geometric_gaps(mine, p, 1000)
+            assert gaps.tolist() == numpys.geometric(p, size=1000).tolist()
+            assert mine.bit_generator.state == numpys.bit_generator.state
+
     def test_memory_linear_in_edges(self):
         # N = 100k has 5e9 node pairs; generation must stay O(N + E).
         spec = NetworkSpec(n_nodes=100_000, n_infected=20_000, rng_seed=5)
@@ -227,7 +319,9 @@ class TestGenerateNetwork:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_peak_memory_near_network_size(self, seed):
         # The large_pop benchmark spec: ~35k edges, whose CSR holds ~0.6 MB.
-        # Generation may hold little more than the edge array and the CSR.
+        # Generation may hold little more than the 32-bit keys and the CSR:
+        # 1.01 MB measured, plus 15%.  An (E, 2) int64 edge array handed to
+        # `Network` instead reads 1.50 MB.
         spec = NetworkSpec(n_nodes=10_000, n_infected=2_000, differential_activity=1.8,
                            rng_seed=seed)
         tracemalloc.start()
@@ -236,7 +330,7 @@ class TestGenerateNetwork:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.0 * 2**20
+        assert peak <= 1.16 * 2**20
 
     def test_realized_differential_activity_near_spec(self):
         stats = network_summary(generate_network(NetworkSpec(rng_seed=11)))
@@ -294,15 +388,16 @@ class TestNetworkType:
         assert Network(net.infected, net.edges) == net
 
     def test_largest_node_ids(self):
-        n = MAX_NODES
-        # The network itself is ~170 MB (int64 degrees and indptr); the CSR
-        # is read directly, since `edges` would add an n-sized temporary.
-        net = Network(np.zeros(n, dtype=bool), np.array([[n - 1, n - 2], [0, n - 1]]))
-        assert net.indices.tolist() == [n - 1, n - 1, 0, n - 2]
-        assert net.neighbors[n - 1] == [0, n - 2]
-        assert net.neighbors[0] == [n - 1]
-        assert net.degrees[[0, 1, n - 2, n - 1]].tolist() == [1, 0, 1, 2]
-        assert net.indptr[-1] == 4
+        # Either side of the 32-bit key limit, then the largest network: ~170 MB
+        # (int64 degrees and indptr), so the CSR is read directly, since
+        # `edges` would add an n-sized temporary.
+        for n in (2**15, 2**15 + 1, MAX_NODES):
+            net = Network(np.zeros(n, dtype=bool), np.array([[n - 1, n - 2], [0, n - 1]]))
+            assert net.indices.tolist() == [n - 1, n - 1, 0, n - 2]
+            assert net.neighbors[n - 1] == [0, n - 2]
+            assert net.neighbors[0] == [n - 1]
+            assert net.degrees[[0, 1, n - 2, n - 1]].tolist() == [1, 0, 1, 2]
+            assert net.indptr[-1] == 4
 
     def test_rejects_too_many_nodes(self):
         # No ``MAX_NODES + 1``-node array is needed to see the check: a

@@ -603,6 +603,22 @@ class TestRunRds:
             seed_rule=SeedRule.pps_degree(), target_n=150, rng_seed=38))
         assert a.records != other.records
 
+    def test_strided_infected_view_samples_as_a_copy(self):
+        # `run_rds` reads the network's arrays in place; a group column cut
+        # from a wider table is a strided view, not a contiguous array.
+        base = generate_network(NetworkSpec(rng_seed=4))
+        table = np.zeros((base.n_nodes, 3), dtype=bool)
+        table[:, 1] = base.infected
+        strided = Network(table[:, 1], base.edges)
+        assert not strided.infected.flags.c_contiguous
+        behavior = BehaviorConfig(own_group_weight_infected=3.0, infected_candidate_weight=0.5,
+                                  similar_degree_width=4.0, response_prob_uninfected=0.7)
+        cfg = SamplingConfig(seed_rule=SeedRule.infected_only_pps(), target_n=300,
+                             behavior=behavior, rng_seed=8)
+        a, b = run_rds(strided, cfg), run_rds(Network(base.infected.copy(), base.edges), cfg)
+        assert a.records == b.records
+        assert a.counts == b.counts
+
     def test_single_recruitment_uniform_over_leaves(self):
         # With the center pinned as the seed, the first recruit must be
         # uniform over the nine leaves; chi-square on 10000 runs.
