@@ -35,9 +35,14 @@ probability 0, or whose candidates all weigh 0, would spend one pass draw
 per coupon and change nothing, so its remaining coupons expire at once and
 the bit generator jumps over their draws (`_Uniforms.skip`).
 
-The loop reads the network's arrays through memoryviews, which index to
-Python ints and bools without copying (`_Tables`), and one stream object
-hands out every draw of a run, seeds included (`_Uniforms`).
+The loop reads the CSR arrays through memoryviews, which index to Python
+ints without copying.  It looks each behaviour factor up by node type, the
+node's infection group and the rank of its degree among the T degrees
+present: a pass or response probability is one read per node, and a
+candidate's weight one read from a (2T) x (2T) table of pair weights, built
+only when some weight is not 1 and never larger than about 16 entries per
+edge (`_Tables`).  One stream object hands out every draw of a run, seeds
+included (`_Uniforms`).
 With unit weights it picks ``eligible[int(u * k)]``, where the cumulative
 walk would stop; otherwise the walk's last running sum is the total, not
 ``sum()``, which compensates rounding from Python 3.12 on.  The draws
@@ -526,51 +531,54 @@ _UNTOUCHED, _SAMPLED, _REFUSED = 0, 1, 2
 
 
 class _Tables:
-    """Behaviour factors of one `run_rds` call, as Python lists.
+    """Behaviour factors of one `run_rds` call, looked up by node type.
 
-    ``degrees`` and ``infected`` are zero-copy memoryviews of the network's
-    arrays.  ``pass_prob[g][d]`` and ``response_prob[g][d]`` are the group-``g``
-    probability times the degree-``d`` ramp.  The recruitment weight of
-    candidate ``v`` for holder ``h`` is
-    ``group[infected[h]][infected[v]] * kernel[|d_h - d_v|] * ramp[v]``: the
-    factors of `recruitment_weight` in its order, with an absent factor
-    tabulated as 1.0, which multiplies exactly.  ``uniform`` is set when
-    every weight is 1; ``ramp`` is then not built, since no weight is read.
+    A node's type is its infection group and the rank of its degree among
+    the T distinct degrees of the network: ``code[v]`` is
+    ``infected[v] * T + rank(degree[v])``.  ``pass_prob[t]`` and
+    ``response_prob[t]`` are type ``t``'s group probability times its degree
+    ramp.  ``weight`` is None when every recruitment weight is 1; otherwise
+    ``weight[code[h]][code[v]]`` is the weight of candidate ``v`` for holder
+    ``h``, the factors of `recruitment_weight` multiplied in its order
+    (group, kernel, ramp) with an absent factor tabulated as 1.0, which
+    multiplies exactly.  Distinct degrees sum to at most 2E, so T(T - 1)/2
+    <= 2E and the (2T) x (2T) table holds at most about 16E entries: 16 for
+    a star of any size, where a table over every degree up to the largest
+    would grow with the square of the hub's degree.
     """
 
     def __init__(self, net: Network, b: BehaviorConfig) -> None:
-        self.degrees = memoryview(net.degrees)
-        self.infected = memoryview(net.infected)
-        degree_range = range(int(net.degrees.max(initial=0)) + 1)
+        present = np.bincount(net.degrees) > 0
+        values = np.flatnonzero(present)
+        t = len(values)
+        code = (np.cumsum(present) - 1)[net.degrees] + t * net.infected
+        degrees = values.tolist()
 
-        def by_group_degree(uninfected: float, infected: float, ramp) -> list[list[float]]:
-            ramps = [_degree_ramp(d, *ramp) for d in degree_range]
-            return [[p * r for r in ramps] for p in (uninfected, infected)]
+        def by_type(uninfected: float, infected: float, ramp) -> list[float]:
+            ramps = [_degree_ramp(d, *ramp) for d in degrees]
+            return [p * r for p in (uninfected, infected) for r in ramps]
 
-        self.pass_prob = by_group_degree(
-            b.pass_prob_uninfected, b.pass_prob_infected, b.pass_degree_ramp
-        )
-        self.response_prob = by_group_degree(
+        self.pass_prob = by_type(b.pass_prob_uninfected, b.pass_prob_infected, b.pass_degree_ramp)
+        self.response_prob = by_type(
             b.response_prob_uninfected, b.response_prob_infected, b.response_degree_ramp
         )
-        self.group = [[_group_factor(b, r, c) for c in (False, True)] for r in (False, True)]
+        group = [[_group_factor(b, r, c) for c in (False, True)] for r in (False, True)]
         # No kernel is the infinitely wide one, which is exactly 1.
         width = b.similar_degree_width or math.inf
-        self.kernel = [_kernel(gap, width) for gap in degree_range]
         lo, hi = b.candidate_degree_ramp or (1.0, 1.0)
-        ramps = [_degree_ramp(d, lo, hi) for d in degree_range]
-        self.uniform = all(
-            w == 1.0 for w in (*ramps, *self.kernel, *self.group[0], *self.group[1])
-        )
-        self.ramp: Optional[list[float]] = (
-            None if self.uniform else [ramps[d] for d in self.degrees]
-        )
-
-    def weights(self, holder: int, candidates: list[int]) -> list[float]:
-        infected, degrees, kernel, ramp = self.infected, self.degrees, self.kernel, self.ramp
-        gw = self.group[infected[holder]]
-        dh = degrees[holder]
-        return [gw[infected[v]] * kernel[abs(dh - degrees[v])] * ramp[v] for v in candidates]
+        ramp = [_degree_ramp(d, lo, hi) for d in degrees]
+        # The kernel never rises with the gap, so it is 1 at every gap
+        # present if it is 1 at the widest.
+        widest = degrees[-1] - degrees[0] if degrees else 0
+        self.weight: Optional[list[list[float]]] = None
+        if any(w != 1.0 for w in (*group[0], *group[1], *ramp, _kernel(widest, width))):
+            kernel = np.maximum(_KERNEL_FLOOR, 1.0 - np.abs(values[:, None] - values) / width)
+            table = np.array(group)[:, None, :, None] * kernel[:, None, :] * np.array(ramp)
+            self.weight = table.reshape(2 * t, 2 * t).tolist()
+        # Weighing reads one code per candidate, and a list indexes faster
+        # than a memoryview; without weights only holders and picks are read,
+        # too few to repay the list's O(N) build.
+        self.code = code.tolist() if self.weight is not None else memoryview(code)
 
 
 class _Uniforms:
@@ -623,9 +631,8 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     uniforms = _Uniforms(np.random.default_rng(config.rng_seed))
     random = uniforms.next
     tables = _Tables(net, config.behavior)
-    degrees, infected = tables.degrees, tables.infected
+    code, weight = tables.code, tables.weight
     pass_prob, response_prob = tables.pass_prob, tables.response_prob
-    uniform, weights_of = tables.uniform, tables.weights
     indptr, indices = memoryview(net.indptr), memoryview(net.indices)
     coupons, target_n = config.coupons_per_respondent, config.target_n
     state = bytearray(net.n_nodes)
@@ -633,16 +640,16 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
     nodes, recruiters, waves = [], [], []
     expired = nonresp = 0
 
-    def enroll(node: int, recruiter: int, wave: int) -> None:
+    def enroll(node: int) -> None:
         state[node] = _SAMPLED
         nodes.append(node)
-        recruiters.append(recruiter)
-        waves.append(wave)
+        recruiters.append(-1)
+        waves.append(0)
 
     # n_seeds <= target_n (`SamplingConfig`); recruiter-less ones after them are reseeds.
     for node in _draw_seeds(net, config.seed_rule, config.n_seeds, uniforms,
                             np.ones(net.n_nodes, dtype=bool)):
-        enroll(node, -1, 0)
+        enroll(node)
 
     position = 0  # the next holder; the ones before it have spent all their coupons
     while len(nodes) < target_n:
@@ -654,12 +661,15 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                 node = _draw_seeds(net, config.seed_rule, 1, uniforms, untouched)[0]
             except SamplingError:
                 break
-            enroll(node, -1, 0)
+            enroll(node)
             continue
         holder = nodes[position]
         eligible = [v for v in indices[indptr[holder] : indptr[holder + 1]] if not state[v]]
-        weights = None if uniform else weights_of(holder, eligible)
-        p_pass = pass_prob[infected[holder]][degrees[holder]]
+        if weight is not None:
+            row = weight[code[holder]]
+            weights = [row[code[v]] for v in eligible]
+        p_pass = pass_prob[code[holder]]
+        wave = waves[position] + 1
         for left in range(coupons, 0, -1):
             if not eligible:
                 expired += left
@@ -671,7 +681,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             if random() >= p_pass:
                 expired += 1
                 continue
-            if uniform:
+            if weight is None:
                 j = int(random() * len(eligible))
             else:
                 cumulative = list(accumulate(weights))
@@ -682,11 +692,14 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                     expired += left
                     break
                 # The first running sum above the target, else the last candidate.
-                j = min(bisect_right(cumulative, random() * cumulative[-1]), len(eligible) - 1)
+                j = bisect_right(cumulative, random() * cumulative[-1], 0, len(cumulative) - 1)
                 del weights[j]
             chosen = eligible.pop(j)
-            if random() < response_prob[infected[chosen]][degrees[chosen]]:
-                enroll(chosen, position, waves[position] + 1)
+            if random() < response_prob[code[chosen]]:
+                state[chosen] = _SAMPLED
+                nodes.append(chosen)
+                recruiters.append(position)
+                waves.append(wave)
                 if len(nodes) >= target_n:
                     break
             else:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from rdslab import (
@@ -310,6 +310,25 @@ class TestSsEstimate:
             seed_rule=SeedRule.pps_degree(), target_n=200, rng_seed=12))
         value = ss_estimate(s, 1000, SsOptions(rng_seed=0))
         assert 0.0 < value < 1.0
+
+    @given(seed=st.integers(0, 10_000), n_nodes=st.integers(60, 400),
+           share=st.floats(0.02, 0.6), da=st.sampled_from([1.0, 1.8]),
+           population=st.sampled_from([10**4, 10**5, 10**6]))
+    def test_tends_to_vh_as_population_grows(self, seed, n_nodes, share, da, population):
+        # SS reduces to VH as n / N -> 0 (Gile 2011): on a live sample the
+        # gap is at most n / N and falls in proportion to 1 / N.
+        net = generate_network(NetworkSpec(n_nodes=n_nodes, n_infected=n_nodes // 4,
+                                           differential_activity=da, rng_seed=seed))
+        s = run_rds(net, SamplingConfig(n_seeds=3, target_n=max(3, int(share * n_nodes)),
+                                        rng_seed=seed))
+        vh = vh_estimate(s)
+        try:
+            gaps = [abs(ss_estimate(s, size) - vh) for size in (population, 100 * population)]
+        except EstimationError:
+            assume(False)
+        assert gaps[0] <= s.size / population
+        # The slack covers the rounding of two estimates in [0, 1].
+        assert gaps[1] <= gaps[0] / 50 + 1e-12
 
 
 class TestCrossGroupMachinery:

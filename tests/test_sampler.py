@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import time
@@ -330,44 +331,53 @@ def behaviors(draw) -> BehaviorConfig:
     )
 
 
+def _pass_prob(b: BehaviorConfig, infected: bool, degree: int) -> float:
+    p = b.pass_prob_infected if infected else b.pass_prob_uninfected
+    return p * _degree_ramp(degree, *b.pass_degree_ramp)
+
+
+def _response_prob(b: BehaviorConfig, infected: bool, degree: int) -> float:
+    p = b.response_prob_infected if infected else b.response_prob_uninfected
+    return p * _degree_ramp(degree, *b.response_degree_ramp)
+
+
 class TestBehaviorTables:
-    """The tables `run_rds` draws from against the per-call definitions."""
+    """The type tables `run_rds` draws from against the per-call definitions."""
 
     @given(
         b=behaviors(),
         net_seed=st.integers(0, 2**16),
         mean_degree=st.sampled_from([2.0, 7.0, 15.0]),
-        data=st.data(),
     )
-    def test_weights_equal_recruitment_weight(self, b, net_seed, mean_degree, data):
+    def test_weights_equal_recruitment_weight(self, b, net_seed, mean_degree):
         net = generate_network(NetworkSpec(
             n_nodes=120, n_infected=30, mean_degree=mean_degree,
             differential_activity=1.5, rng_seed=net_seed))
         tables = _Tables(net, b)
-        holder = data.draw(st.integers(0, net.n_nodes - 1))
-        candidates = data.draw(st.lists(st.integers(0, net.n_nodes - 1), max_size=20))
-        candidates += net.neighbors[holder]
-        expected = [recruitment_weight(net, b, holder, v) for v in candidates]
-        if tables.uniform:
-            assert all(w == 1.0 for w in expected)
+        nodes = range(net.n_nodes)
+        groups, degrees = net.infected.tolist(), net.degrees.tolist()
+        # A node's code is a function of its (group, degree), one per pair present.
+        types = set(zip(groups, degrees))
+        assert len(set(zip(groups, degrees, tables.code))) == len(set(tables.code)) == len(types)
+        for v in nodes:
+            t = tables.code[v]
+            assert tables.pass_prob[t] == _pass_prob(b, groups[v], degrees[v])
+            assert tables.response_prob[t] == _response_prob(b, groups[v], degrees[v])
+        expected = [[recruitment_weight(net, b, h, v) for v in nodes] for h in nodes]
+        if tables.weight is None:
+            assert all(w == 1.0 for row in expected for w in row)
         else:
-            assert tables.weights(holder, candidates) == expected
-        for node in (holder, *candidates):
-            d, inf = int(net.degrees[node]), bool(net.infected[node])
-            assert tables.pass_prob[inf][d] == (
-                b.pass_prob_infected if inf else b.pass_prob_uninfected
-            ) * _degree_ramp(d, *b.pass_degree_ramp)
-            assert tables.response_prob[inf][d] == (
-                b.response_prob_infected if inf else b.response_prob_uninfected
-            ) * _degree_ramp(d, *b.response_degree_ramp)
+            assert len(tables.weight) == 2 * len(set(degrees))
+            code, weight = tables.code, tables.weight
+            assert [[weight[code[h]][code[v]] for v in nodes] for h in nodes] == expected
 
     def test_identity_behavior_is_uniform(self):
         net = generate_network(NetworkSpec(rng_seed=3))
-        assert _Tables(net, BehaviorConfig()).uniform
+        assert _Tables(net, BehaviorConfig()).weight is None
         assert _Tables(net, BehaviorConfig(
-            similar_degree_width=float("inf"), candidate_degree_ramp=(1.0, 1.0))).uniform
-        assert not _Tables(net, BehaviorConfig(infected_candidate_weight=0.999)).uniform
-        assert not _Tables(net, BehaviorConfig(similar_degree_width=1e6)).uniform
+            similar_degree_width=float("inf"), candidate_degree_ramp=(1.0, 1.0))).weight is None
+        assert _Tables(net, BehaviorConfig(infected_candidate_weight=0.999)).weight is not None
+        assert _Tables(net, BehaviorConfig(similar_degree_width=1e6)).weight is not None
 
     @staticmethod
     def _walk(u: float, k: int) -> int:
@@ -1051,19 +1061,22 @@ class TestPinnedExperimentBytes:
 
 # --------------------------------------------------------------------------
 # Coupon-major loop reference: `run_rds` as it was written before it queued
-# respondents.  Each enrolment pushes one queue entry per coupon, and every
-# entry re-slices, re-filters and re-weighs its holder's candidates.  The
-# only edit is the weighted pick's total, a plain left-to-right running sum
-# as `sum()` gave it before Python 3.12.  The respondent-major loop must
-# give the same sample bytes and tallies; the reference also reports which
-# paths its run took.
+# respondents and before it tabulated behaviour.  Each enrolment pushes one
+# queue entry per coupon, and every entry re-slices, re-filters and re-weighs
+# its holder's candidates with `recruitment_weight` and the per-call pass and
+# response formulas.  Every pick walks the weights left to right, unit
+# weights included (the walk equals `int(u * k)` there, see
+# `test_identity_pick_equals_walk`), and the total is a plain running sum as
+# `sum()` gave it before Python 3.12.  The respondent-major loop must give the
+# same sample bytes and tallies; the reference also reports which paths its
+# run took.
 
 def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, set[str]]:
     rng = np.random.default_rng(config.rng_seed)
     uniforms = _Uniforms(rng)
     random = uniforms.next
-    tables = _Tables(net, config.behavior)
-    degrees, infected = tables.degrees, tables.infected
+    b = config.behavior
+    degrees, infected = net.degrees.tolist(), net.infected.tolist()
     indptr, indices = net.indptr, net.indices
     coupons, target_n = config.coupons_per_respondent, config.target_n
     state = bytearray(net.n_nodes)
@@ -1120,31 +1133,29 @@ def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, se
         if not eligible:
             expired += 1
             continue
-        if random() >= tables.pass_prob[infected[holder]][degrees[holder]]:
-            if tables.pass_prob[infected[holder]][degrees[holder]] <= 0.0:
+        p_pass = _pass_prob(b, infected[holder], degrees[holder])
+        if random() >= p_pass:
+            if p_pass <= 0.0:
                 paths.add("zero_pass")
             expired += 1
             continue
-        if tables.uniform:
-            chosen = eligible[int(random() * len(eligible))]
-        else:
-            weights = tables.weights(holder, eligible)
-            total = 0.0
-            for w in weights:
-                total += w
-            if total <= 0.0:
-                paths.add("zero_total")
-                expired += 1
-                continue
-            r = random() * total
-            acc = 0.0
-            chosen = eligible[-1]
-            for v, w in zip(eligible, weights):
-                acc += w
-                if r < acc:
-                    chosen = v
-                    break
-        if random() < tables.response_prob[infected[chosen]][degrees[chosen]]:
+        weights = [recruitment_weight(net, b, holder, v) for v in eligible]
+        total = 0.0
+        for w in weights:
+            total += w
+        if total <= 0.0:
+            paths.add("zero_total")
+            expired += 1
+            continue
+        r = random() * total
+        acc = 0.0
+        chosen = eligible[-1]
+        for v, w in zip(eligible, weights):
+            acc += w
+            if r < acc:
+                chosen = v
+                break
+        if random() < _response_prob(b, infected[chosen], degrees[chosen]):
             enroll(chosen, position, waves[position] + 1)
             if len(nodes) >= target_n and queue and queue[0] == position:
                 paths.add("target_between_coupons")
@@ -1272,6 +1283,29 @@ class TestRespondentMajorLoopMatchesReference:
         c = sample.counts
         assert sample.exhausted
         assert c.coupons_issued == sample.size * 10**9 == c.coupons_resolved
+
+    def test_hub_tables_stay_small(self, tmp_path):
+        # Types index the tables, not degrees: a hub of degree 20,000 and its
+        # leaves make 2 degrees, so the pair table holds 16 weights, where
+        # one over every degree up to the hub's would hold 1.6e9.
+        leaves = 20_000
+        infected = np.arange(leaves + 1) % 7 == 0  # the hub and every 7th leaf
+        net = Network(infected, np.column_stack((np.zeros(leaves, dtype=np.int64),
+                                                 np.arange(1, leaves + 1))))
+        config = SamplingConfig(n_seeds=1, seed_rule=SeedRule.uniform_highest(1),
+                                coupons_per_respondent=12, target_n=10, rng_seed=5,
+                                behavior=dataclasses.replace(_DESK_BEHAVIOR,
+                                                             infected_candidate_weight=3.0))
+        expected = _sample_bytes(_reference_sample, net, config, tmp_path / "sample.txt")
+        assert _sample_bytes(run_rds, net, config, tmp_path / "sample.txt") == expected
+        assert len(_Tables(net, config.behavior).weight) == 4
+        tracemalloc.start()
+        try:
+            run_rds(net, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("case", sorted(PINNED_SAMPLES))
     def test_reference_gives_pinned_bytes(self, tmp_path, case):
