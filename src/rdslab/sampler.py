@@ -49,12 +49,11 @@ walk would stop; otherwise the walk's last running sum is the total, not
 (seed, pass, pick, response, reseed) come in the order and number of a loop
 calling ``rng.random()`` and `recruitment_weight` for each candidate.
 
-A PPS seed draw (`pps_degree`, `infected_only_pps`) costs O(N + count log N):
-one integer prefix sum of the degrees over all N nodes, then a search per
-pick, certified against the float CDF of ``rng.choice(p=...)`` by a bound on
-its rounding error; only a uniform within that margin of a step rebuilds
-the float CDF (`_pps_picks`).  A uniform-k draw is one ``rng.choice`` of
-bounded integers, so `_draw_seeds` first syncs the stream, a backward jump.
+Each seed pick takes one double.  A PPS seed draw (`pps_degree`,
+`infected_only_pps`) costs O(N + count log N): one integer prefix sum of
+the degrees over all N nodes, then an exact integer search per pick
+(`_pps_picks`).  A uniform-k draw is a partial Fisher-Yates shuffle of the
+k-node pool (`_draw_seeds`).
 
 `run_rds` appends each enrolment to plain lists and builds the columns of
 its `Sample` once, recruiter positions included; a sample built from records
@@ -400,114 +399,67 @@ def _seed_pool(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
     return ids
 
 
-def _pps_index(probs: np.ndarray, u: float) -> int:
-    """The index ``rng.choice(len(probs), p=probs)`` draws with uniform ``u``: same sums.
-
-    No re-validation: weights are degrees >= 1 or 0 (ineligible or picked),
-    so ``probs`` is a valid distribution by construction.
-    """
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(u, side="right"))
-
-
-def _cdf_margin(n: int) -> float:
-    """How far `_pps_index`'s float CDF over ``n`` integer weights may lie from the exact one.
-
-    With u = 2**-53, the CDF entry ``fl(C_i / c)`` is ``W_i / S`` to within
-    gamma_(2n+1) = (2n+1)u / (1 - (2n+1)u) (Higham 2002, *Accuracy and
-    Stability of Numerical Algorithms*, sec. 3.1 and 4.2): one rounding per
-    ``w / S``, the recursive summation error of ``cumsum`` on both ``C_i``
-    and the total ``c``, and one rounding of ``C_i / c``.  The integer sums
-    are exact below 2**53.  `_certified_index` rounds twice more in its own
-    checks, which costs under 2u of the 7u to spare.
-    """
-    return (2 * n + 8) * 2.0**-53
-
-
-def _certified_index(
-    prefix: np.ndarray, picked: list[tuple[int, int, int]], rest: int, u: float, margin: float
-) -> Optional[int]:
-    """The index `_pps_index` gives for ``u``, or None when ``u`` is too close to a step.
-
-    ``prefix`` holds the integer prefix sums of the weights before any pick,
-    ``picked`` the ``(index, prefix[index - 1], weight)`` of each pick so far
-    by ascending index, and ``rest`` the weight left.  With the picks zeroed
-    the prefix sums are ``W'_i = prefix[i] - (weight picked at or before i)``,
-    and the exact pick is the first ``i`` with ``W'_i > u * rest``.
-    `_pps_index`'s float CDF lies within ``margin`` of ``W'_i / rest``, so it
-    takes the same index unless ``u`` lies within ``margin`` of
-    ``W'_{i-1} / rest`` or ``W'_i / rest``.
-    """
-    num, den = u.as_integer_ratio()
-    target = num * rest // den  # floor(u * rest), exactly
-    # A pick lowers the prefix sums from its index on: remove the weight of
-    # each pick whose W' just before it does not yet exceed the target.
-    removed = 0
-    for _, before, weight in picked:
-        if before - removed > target:
-            break
-        removed += weight
-    j = int(prefix.searchsorted(target + removed, side="right"))
-    low = (int(prefix[j - 1]) if j else 0) - removed
-    high = int(prefix[j]) - removed
-    if u - low / rest > margin and high / rest - u > margin:
-        return j
-    return None
-
-
 def _pps_picks(weights: np.ndarray, count: int, random: Callable[[], float]) -> list[int]:
     """``count`` distinct indices drawn with probability proportional to integer ``weights``.
 
-    Each pick takes one ``random()`` and is the index `_pps_index` gives for
-    it over the weights with earlier picks zeroed: O(N) once for the prefix
-    sums, then O(log N + picks so far) per pick, plus O(N) for `_pps_index`
-    itself when `_certified_index` cannot decide.
+    Each pick takes one ``u = random()`` and is the exact inverse CDF of the
+    weights left: the first ``i`` whose prefix sum with the earlier picks
+    zeroed, ``W'_i``, exceeds ``u * rest``, or equally, being an integer,
+    ``floor(u * rest)``.  The prefix sums are built once in O(N); a pick
+    searches them, shifted past the weight already picked, in
+    O(log N + picks so far).
     """
     prefix = weights.cumsum()
     rest = int(prefix[-1])
-    margin = _cdf_margin(len(weights))
     chosen: list[int] = []
-    picked: list[tuple[int, int, int]] = []
+    # (prefix sum before the pick, its weight) of each pick so far, by index.
+    picked: list[tuple[int, int]] = []
     for _ in range(count):
-        u = random()
-        j = _certified_index(prefix, picked, rest, u, margin)
-        if j is None:
-            zeroed = weights.astype(float)
-            zeroed[[index for index, _, _ in picked]] = 0.0
-            j = _pps_index(zeroed / zeroed.sum(), u)
+        num, den = random().as_integer_ratio()
+        target = num * rest // den  # floor(u * rest), exactly
+        # A pick lowers the prefix sums from its index on: remove the weight
+        # of each pick whose W' just before it does not yet exceed the target.
+        removed = 0
+        for before, weight in picked:
+            if before - removed > target:
+                break
+            removed += weight
+        j = int(prefix.searchsorted(target + removed, side="right"))
         weight = int(weights[j])
         chosen.append(j)
-        insort(picked, (j, int(prefix[j - 1]) if j else 0, weight))
+        insort(picked, (int(prefix[j - 1]) if j else 0, weight))
         rest -= weight
     return chosen
 
 
 def _draw_seeds(
-    net: Network, rule: SeedRule, count: int, uniforms: _Uniforms, allowed: np.ndarray
+    net: Network, rule: SeedRule, count: int, random: Callable[[], float], allowed: np.ndarray
 ) -> list[int]:
     """``count`` distinct seeds under ``rule`` among the ``allowed`` nodes (bool mask).
 
-    A PPS pick takes one uniform from ``uniforms.next`` and costs O(log N)
-    after one O(N) pass (`_pps_picks`); a uniform-k draw syncs ``uniforms``
-    and makes one ``choice`` over `_seed_pool` with its generator.
+    Every pick takes one ``random()``.  A PPS pick is an exact integer
+    inverse CDF (`_pps_picks`); a uniform-k draw is a partial Fisher-Yates
+    shuffle of `_seed_pool`: pick ``i`` swaps in the one ``int(u * left)``
+    places further on, where ``left = found - i`` and ``int(u * left) < left``
+    for every ``u < 1``.
     """
     pps = rule.variant in _PPS_VARIANTS
     if pps:
         weights = np.where(_eligible(net, rule, allowed), net.degrees, 0)
         found = int(np.count_nonzero(weights))
     else:
-        pool = _seed_pool(net, rule, allowed)
+        pool = _seed_pool(net, rule, allowed).tolist()
         found = len(pool)
     if found < count:
         raise SamplingError(
             f"need {count} eligible seed nodes under rule {rule.variant}, found {found}"
         )
     if pps:
-        return _pps_picks(weights, count, uniforms.next)
-    uniforms.sync()  # `choice` draws bounded integers, not doubles
-    picks = uniforms.rng.choice(len(pool), size=count, replace=False)
-    return [int(pool[j]) for j in np.atleast_1d(picks)]
+        return _pps_picks(weights, count, random)
+    for i in range(count):
+        j = i + int(random() * (found - i))
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:count]
 
 
 def select_seeds(
@@ -515,15 +467,12 @@ def select_seeds(
 ) -> list[int]:
     """Draw ``count`` distinct seed nodes from the whole network.
 
-    PPS rules cost O(N + count log N) and pick as ``count`` successive
-    ``rng.choice(p=...)`` calls would, each picked weight zeroed, and leave ``rng`` as they would.
+    Each pick takes one ``rng.random()``, so ``rng`` ends where ``count``
+    scalar calls would leave it.  PPS rules cost O(N + count log N).
     """
     if count < 1:
         raise ConfigError(f"seed count must be >= 1, got {count}")
-    uniforms = _Uniforms(rng)
-    seeds = _draw_seeds(net, rule, count, uniforms, np.ones(net.n_nodes, dtype=bool))
-    uniforms.sync()
-    return seeds
+    return _draw_seeds(net, rule, count, rng.random, np.ones(net.n_nodes, dtype=bool))
 
 
 # Node states; untouched is 0 so a fresh bytearray starts all untouched.
@@ -586,9 +535,8 @@ class _Uniforms:
 
     ``rng.random(k)`` gives the doubles that k scalar calls would give, one
     bit-generator output each, so the values and their order are unchanged;
-    ``next`` just costs a list step instead of a numpy call.  Before anything
-    else draws from ``rng``, `sync` jumps it back over the values of the
-    block not yet handed out.
+    ``next`` just costs a list step instead of a numpy call.  Nothing else
+    reads ``rng``.
     """
 
     _BLOCK = 128
@@ -603,27 +551,13 @@ class _Uniforms:
             self._current = iter(self.rng.random(self._BLOCK).tolist())
             yield self._current
 
-    def _jump(self, step: int) -> None:
-        # `step` outputs on, modulo PCG64's period of 2**128.  `advance` drops
-        # the 32-bit half that a bounded draw such as `choice` left buffered;
-        # doubles never read it, so it is put back for the next such draw.
-        bg = self.rng.bit_generator
-        kept = bg.state
-        bg.advance(step % 2**128)
-        jumped = bg.state
-        jumped["has_uint32"], jumped["uinteger"] = kept["has_uint32"], kept["uinteger"]
-        bg.state = jumped
-
     def skip(self, count: int) -> None:
         """Hand out the next ``count`` values unread, in O(1) beyond this block."""
         left = length_hint(self._current)
         deque(islice(self._current, count), maxlen=0)
         if count > left:
-            self._jump(count - left)  # one double per bit-generator output
-
-    def sync(self) -> None:
-        self._jump(-length_hint(self._current))
-        deque(self._current, maxlen=0)
+            # One double per bit-generator output.
+            self.rng.bit_generator.advance(count - left)
 
 
 def run_rds(net: Network, config: SamplingConfig) -> Sample:
@@ -647,7 +581,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
         waves.append(0)
 
     # n_seeds <= target_n (`SamplingConfig`); recruiter-less ones after them are reseeds.
-    for node in _draw_seeds(net, config.seed_rule, config.n_seeds, uniforms,
+    for node in _draw_seeds(net, config.seed_rule, config.n_seeds, random,
                             np.ones(net.n_nodes, dtype=bool)):
         enroll(node)
 
@@ -658,7 +592,7 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                 break
             untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
             try:
-                node = _draw_seeds(net, config.seed_rule, 1, uniforms, untouched)[0]
+                node = _draw_seeds(net, config.seed_rule, 1, random, untouched)[0]
             except SamplingError:
                 break
             enroll(node)

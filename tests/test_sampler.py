@@ -8,6 +8,7 @@ import math
 import time
 import tracemalloc
 from collections import deque
+from fractions import Fraction
 from itertools import accumulate, product
 from types import SimpleNamespace
 
@@ -45,8 +46,7 @@ from rdslab.estimators import ENUMERATION_LIMIT
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
     UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
-    _REFUSED, _SAMPLED, _UNTOUCHED, _cdf_margin, _degree_ramp, _draw_seeds, _pps_index,
-    _seed_pool, _Tables, _Uniforms,
+    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _seed_pool, _Tables, _Uniforms,
 )
 
 
@@ -113,29 +113,6 @@ class TestSeedRules:
         with pytest.raises(SamplingError, match="eligible seed"):
             select_seeds(net, SeedRule.infected_only_pps(), 2, np.random.default_rng(0))
 
-    @given(
-        weights=st.lists(st.floats(1e-3, 1e3) | st.integers(1, 500).map(float), min_size=1,
-                         max_size=300),
-        zeroed=st.sets(st.integers(0, 299), max_size=40),
-        seed=st.integers(0, 2**32),
-    )
-    def test_lean_pps_draw_equals_choice(self, weights, zeroed, seed):
-        # _draw_seeds zeroes each picked weight; at least one stays positive.
-        w = np.array(weights)
-        w[[i for i in zeroed if i < len(w) - 1]] = 0.0
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(3):
-            picked = _pps_index(w / w.sum(), rng.random())
-            assert picked == int(ref.choice(len(w), p=w / w.sum()))
-        assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_lean_pps_draw_edges(self):
-        # A uniform landing on a CDF step picks the next index, as choice's
-        # side="right" search does; ten 0.1s sum to the largest double below
-        # 1, so only the renormalised CDF keeps that uniform in range.
-        assert _pps_index(np.array([0.5, 0.5]), 0.5) == 1
-        assert _pps_index(np.full(10, 0.1), float(np.nextafter(1.0, 0.0))) == 9
-
     def test_seeds_distinct(self):
         net = path_network(6)
         for seed in range(20):
@@ -169,12 +146,30 @@ def _eligible_weights(net, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
     return np.where(eligible, net.degrees, 0)
 
 
+def _exact_pps_reference(weights: np.ndarray, uniforms: list[float]) -> list[int]:
+    # Each pick recomputes the integer CDF of the weights left and takes the
+    # first index whose cumulative weight exceeds u times their total, in
+    # exact rationals.
+    w = weights.tolist()
+    picks = []
+    for u in uniforms:
+        target = Fraction(u) * sum(w)
+        cumulative = list(accumulate(w))
+        picks.append(next(i for i, c in enumerate(cumulative) if c > target))
+        w[picks[-1]] = 0
+    return picks
+
+
 class TestCertifiedPpsPick:
-    """PPS seeds from integer prefix sums equal the float CDF's picks."""
+    """PPS seeds are exact integer inverse-CDF picks, one double each."""
 
     @given(case=seed_populations(), rule=st.sampled_from(_PPS_RULES), count=st.integers(1, 12),
            seed=st.integers(0, 2**32))
     def test_draws_equal_zero_as_you_go_choice(self, case, rule, count, seed):
+        # The float CDF of ``rng.choice(p=...)`` lies within (2N+8) * 2**-53
+        # of the exact one, so both pick the same node unless a uniform falls
+        # that close to a step: PPS samples are those of successive `choice`
+        # calls, each picked weight zeroed.
         net, allowed = case
         w = _eligible_weights(net, rule, allowed).astype(float)
         count = min(count, int(np.count_nonzero(w)))
@@ -184,61 +179,80 @@ class TestCertifiedPpsPick:
         for _ in range(count):
             expected.append(int(ref.choice(len(w), p=w / w.sum())))
             w[expected[-1]] = 0.0
-        uniforms = _Uniforms(rng)
-        assert _draw_seeds(net, rule, count, uniforms, allowed) == expected
-        uniforms.sync()
+        assert _draw_seeds(net, rule, count, rng.random, allowed) == expected
         assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("rule", _PPS_RULES)
-    def test_step_uniforms_fall_back_and_match(self, monkeypatch, rule):
-        # A uniform on a step W'_k / S' of the weights left is within any
-        # margin of it, so every such pick must take the float CDF.
-        gen = np.random.default_rng(5)
-        n = 300
-        net = SimpleNamespace(
-            degrees=np.where(gen.random(n) < 0.3, 0, gen.integers(1, 60, n)),
-            infected=gen.random(n) < 0.5,
-            n_nodes=n,
-        )
-        allowed = gen.random(n) < 0.8
-        base = _eligible_weights(net, rule, allowed)
-        fallbacks = []
-        monkeypatch.setattr(sampler_module, "_pps_index",
-                            lambda probs, u: fallbacks.append(u) or _pps_index(probs, u))
-        for trial in range(200):
-            count = 1 + trial % 6
-            w, uniforms, expected = base.copy(), [], []
-            for _ in range(count):
-                prefix = w.cumsum()
-                steps = [0, *np.unique(prefix[prefix < prefix[-1]]).tolist()]
-                uniforms.append(int(gen.choice(steps)) / int(prefix[-1]))
-                expected.append(_pps_index(w / w.sum(), uniforms[-1]))
-                w[expected[-1]] = 0
-            fallbacks.clear()
-            stream = SimpleNamespace(next=iter(uniforms).__next__)
-            assert _draw_seeds(net, rule, count, stream, allowed) == expected
-            assert fallbacks == uniforms
-        # Uniforms off the steps never take the O(N) float CDF.
-        fallbacks.clear()
-        big = generate_network(NetworkSpec(n_nodes=10000, n_infected=2000, rng_seed=3))
-        for seed in range(20):
-            select_seeds(big, rule, 10, np.random.default_rng(seed))
-        assert fallbacks == []
+    @given(case=seed_populations(), rule=st.sampled_from(_PPS_RULES),
+           uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True)
+                             | st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0))]),
+                             min_size=1, max_size=12))
+    def test_draws_equal_exact_reference(self, case, rule, uniforms):
+        net, allowed = case
+        w = _eligible_weights(net, rule, allowed)
+        uniforms = uniforms[: int(np.count_nonzero(w))]
+        assume(uniforms)
+        expected = _exact_pps_reference(w, uniforms)
+        assert _draw_seeds(net, rule, len(uniforms), iter(uniforms).__next__, allowed) == expected
 
-    @pytest.mark.parametrize("n", [10, 1000, 10**5])
-    def test_float_cdf_within_half_the_margin(self, n):
-        # `_cdf_margin(n)` = (2n + 8) * 2**-53 bounds the float CDF's error in
-        # the worst case.  On these weights the largest error seen is at least
-        # 14 times below half of it (about 40 times below it at n = 10**5).
-        gen = np.random.default_rng(n)
-        for weights in (gen.integers(0, 30, n), gen.zipf(1.8, n).clip(max=10**6),
-                        np.where(gen.random(n) < 0.5, 0, gen.integers(1, 1000, n))):
-            weights[-1] = max(weights[-1], 1)
-            w = weights.astype(float)
-            cdf = (w / w.sum()).cumsum()
-            cdf /= cdf[-1]
-            prefix = weights.cumsum()
-            assert np.abs(cdf - prefix / prefix[-1]).max() < _cdf_margin(n) / 2
+    @pytest.mark.parametrize("rule", _PPS_RULES)
+    def test_uniform_on_a_step_picks_the_next_index(self, rule):
+        # Weights 2, 8, 2, 4 sum to 16, and to 8 once node 1 is picked, so
+        # each step W'_k / S' is a double exactly.  A uniform on the step
+        # after index k picks the next index whose weight is left; one just
+        # below it picks k.
+        net = SimpleNamespace(degrees=np.array([2, 8, 2, 4]), infected=np.ones(4, dtype=bool),
+                              n_nodes=4)
+        allowed = np.ones(4, dtype=bool)
+        below = float(np.nextafter(2 / 16, 0.0))
+        cases = [
+            ([0.0], [0]), ([below], [0]), ([2 / 16], [1]), ([10 / 16], [2]), ([12 / 16], [3]),
+            # With node 1 picked the steps are W' = 2, 2, 4 of 8: the step
+            # after node 0 is also the one after node 1, so it picks node 2.
+            ([2 / 16, 0.0], [1, 0]), ([2 / 16, 2 / 8], [1, 2]), ([2 / 16, 4 / 8], [1, 3]),
+        ]
+        for uniforms, expected in cases:
+            assert _exact_pps_reference(net.degrees, uniforms) == expected
+            assert _draw_seeds(net, rule, len(uniforms), iter(uniforms).__next__,
+                               allowed) == expected
+
+    def test_pick_frequencies_follow_degree(self):
+        # First picks at a pinned seed against degree / sum, by chi-square.
+        degrees = np.array([0, 1, 2, 3, 5, 8, 13, 0, 21])
+        net = SimpleNamespace(degrees=degrees, infected=np.ones(9, dtype=bool), n_nodes=9)
+        rng = np.random.default_rng(2024)
+        draws = 20000
+        counts = np.bincount([select_seeds(net, SeedRule.pps_degree(), 1, rng)[0]
+                              for _ in range(draws)], minlength=9)
+        positive = degrees > 0
+        assert not counts[~positive].any()
+        expected = draws * degrees[positive] / degrees.sum()
+        assert stats.chisquare(counts[positive], expected).pvalue > 0.001
+
+    @pytest.mark.parametrize("rule", [SeedRule.uniform_lowest(7), SeedRule.uniform_highest(7)])
+    def test_uniform_k_frequencies_are_uniform(self, rule):
+        # Each of three picks without replacement, at a pinned seed, is
+        # uniform over the 7-node pool, by chi-square.
+        net = generate_network(NetworkSpec(n_nodes=60, n_infected=12, rng_seed=4))
+        pool = _seed_pool(net, rule, np.ones(net.n_nodes, dtype=bool)).tolist()
+        rng = np.random.default_rng(2025)
+        counts = np.zeros((3, net.n_nodes), dtype=int)
+        for _ in range(7000):
+            picks = select_seeds(net, rule, 3, rng)
+            assert len(set(picks)) == 3 and set(picks) <= set(pool)
+            counts[[0, 1, 2], picks] += 1
+        for slot in counts:
+            assert stats.chisquare(slot[pool]).pvalue > 0.001
+
+    @pytest.mark.parametrize("rule", [*_PPS_RULES, SeedRule.uniform_lowest(15),
+                                      SeedRule.uniform_highest(8)])
+    def test_select_seeds_leaves_rng_at_scalar_calls(self, rule):
+        net = generate_network(NetworkSpec(n_nodes=120, n_infected=30, rng_seed=8))
+        for count in (1, 4):
+            rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+            select_seeds(net, rule, count, rng)
+            for _ in range(count):
+                ref.random()
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestRecruitmentWeight:
@@ -410,67 +424,41 @@ class TestBehaviorTables:
 
 
 class TestUniforms:
-    @given(
-        seed=st.integers(0, 2**32),
-        steps=st.lists(st.tuples(st.integers(0, 300), st.sampled_from(["u", "k"])), max_size=8),
-    )
+    @given(seed=st.integers(0, 2**32), steps=st.lists(st.integers(0, 300), max_size=8))
     def test_same_stream_as_scalar_calls(self, seed, steps):
-        # Blocks of draws, each followed by a sync and an outside draw of
-        # another kind, give the values scalar calls on one generator give.
+        # Blocks of draws give the values scalar calls on one generator give.
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         uniforms = _Uniforms(rng)
-        for count, outside in steps:
+        for count in steps:
             assert [uniforms.next() for _ in range(count)] == [ref.random() for _ in range(count)]
-            uniforms.sync()
-            if outside == "u":
-                assert rng.random() == ref.random()
-            else:
-                assert (rng.choice(50, size=3, replace=False).tolist()
-                        == ref.choice(50, size=3, replace=False).tolist())
         assert uniforms.next() == ref.random()
 
     @given(
         seed=st.integers(0, 2**32),
-        steps=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000), st.booleans()),
-                       max_size=8),
+        steps=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)), max_size=8),
     )
     def test_skip_leaves_the_stream_where_reading_would(self, seed, steps):
-        # A uniform seed draw between skips can leave a buffered 32-bit
-        # half in the bit generator; the next such draw must still use it.
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         uniforms = _Uniforms(rng)
-        for read, skipped, choose in steps:
+        for read, skipped in steps:
             assert [uniforms.next() for _ in range(read)] == ref.random(read).tolist()
-            if choose:
-                uniforms.sync()
-                assert (rng.choice(15, size=1, replace=False).tolist()
-                        == ref.choice(15, size=1, replace=False).tolist())
             uniforms.skip(skipped)
             ref.random(skipped)
-        uniforms.sync()
-        assert (rng.choice(15, size=1, replace=False).tolist()
-                == ref.choice(15, size=1, replace=False).tolist())
         assert uniforms.next() == ref.random()
-        uniforms.sync()
-        assert rng.bit_generator.state == ref.bit_generator.state
 
-    def test_sync_at_block_edges(self):
-        # A uniform seed's `choice` leaves half of a 64-bit output buffered;
-        # the backward jump must keep it for the next such draw.
-        edges = (0, 1, _Uniforms._BLOCK - 1, _Uniforms._BLOCK, _Uniforms._BLOCK + 1)
-        for count, buffered in product(edges, (False, True)):
-            rng, ref = np.random.default_rng(count), np.random.default_rng(count)
-            if buffered:
-                rng.choice(15, size=1, replace=False)
-                ref.choice(15, size=1, replace=False)
-            assert rng.bit_generator.state["has_uint32"] == buffered
+    def test_skip_at_block_edges(self):
+        # Reads and skips that end on, or one off, a block's edge; the next
+        # block and a half of values are the ones reading would give.
+        block = _Uniforms._BLOCK
+        edges = (0, 1, block - 1, block, block + 1)
+        for read, skipped in product(edges, edges):
+            rng, ref = np.random.default_rng(read), np.random.default_rng(read)
             uniforms = _Uniforms(rng)
-            drawn = [uniforms.next() for _ in range(count)]
-            uniforms.sync()
-            assert drawn == ref.random(count).tolist()
-            assert rng.bit_generator.state == ref.bit_generator.state
-            assert (rng.choice(15, size=1, replace=False).tolist()
-                    == ref.choice(15, size=1, replace=False).tolist())
+            assert [uniforms.next() for _ in range(read)] == ref.random(read).tolist()
+            uniforms.skip(skipped)
+            ref.random(skipped)
+            after = 3 * block // 2
+            assert [uniforms.next() for _ in range(after)] == ref.random(after).tolist()
 
 
 class TestRunRds:
@@ -658,10 +646,9 @@ class TestRunRds:
     def _first_recruit(monkeypatch, weight: float, pick: float) -> int:
         # The centre of a ten-leaf star recruits with one coupon; every leaf
         # weighs ``weight`` and the pick's uniform is ``pick``.
-        script = iter([0.0, pick, 0.0])  # pass, pick, response
-        # The centre's seed draw syncs and takes one `choice` from the generator.
-        monkeypatch.setattr(sampler_module, "_Uniforms", lambda rng: SimpleNamespace(
-            next=script.__next__, sync=lambda: None, rng=rng))
+        script = iter([0.0, 0.0, pick, 0.0])  # seed, pass, pick, response
+        monkeypatch.setattr(sampler_module, "_Uniforms",
+                            lambda rng: SimpleNamespace(next=script.__next__))
         s = run_rds(star_network(10), SamplingConfig(
             n_seeds=1,
             seed_rule=SeedRule.uniform_highest(1),
@@ -820,6 +807,9 @@ def _sample_sha256(net: Network, cfg: SamplingConfig, path) -> tuple[str, Sample
 # per-candidate loop (one `recruitment_weight` call per eligible neighbour,
 # cumulative walk over every weight); any rewrite of `run_rds` must keep
 # every digest, which pins the RNG draw order and count as well as the picks.
+# The two uniform-k cases, `lowest_k_with_ramps` and `highest_k_candidate_ramp`,
+# are recorded from the Fisher-Yates seed draw over the sampler's doubles;
+# the others are as first recorded.
 _DESK_BEHAVIOR = BehaviorConfig(
     pass_prob_uninfected=0.6,
     pass_prob_infected=0.9,
@@ -895,7 +885,7 @@ PINNED_SAMPLES = {
                 pass_prob_infected=0.8,
             ),
         ),
-        "b909a6ef9c5ce0a0917207b31e4bacd4c73b7dd92edf8ab050b22b6ea210b8e4",
+        "b671745702426ba414ba1d82174af17b99c1d707a5444ed6ad1e7c0a792e93c5",
     ),
     "highest_k_candidate_ramp": (
         NetworkSpec(rng_seed=30),
@@ -906,7 +896,7 @@ PINNED_SAMPLES = {
             rng_seed=12,
             behavior=BehaviorConfig(candidate_degree_ramp=(2.0, 0.25)),
         ),
-        "4b7c5f37c90bdedc8b6056d39a89f36b2845b92ab1ac314411f121b544cb5528",
+        "62e637ac823c8c8f7cbe3296d555850f10af21361b1dd07a03e150cf5d7ebe47",
     ),
     "no_reseed_exhausted": (
         NetworkSpec(rng_seed=31),
@@ -1073,8 +1063,7 @@ class TestPinnedExperimentBytes:
 
 def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, set[str]]:
     rng = np.random.default_rng(config.rng_seed)
-    uniforms = _Uniforms(rng)
-    random = uniforms.next
+    random = rng.random
     b = config.behavior
     degrees, infected = net.degrees.tolist(), net.infected.tolist()
     indptr, indices = net.indptr, net.indices
@@ -1099,15 +1088,6 @@ def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, se
             break
     n_seeds = len(nodes)
 
-    def reseed(allowed: np.ndarray) -> int:
-        # Sync, then draw with a stream of the reseed's own, left where
-        # scalar draws would leave the generator.
-        uniforms.sync()
-        stream = _Uniforms(rng)
-        node = _draw_seeds(net, config.seed_rule, 1, stream, allowed)[0]
-        stream.sync()
-        return node
-
     while len(nodes) < target_n:
         if not queue:
             if not config.reseed_on_die_out:
@@ -1115,7 +1095,7 @@ def _reference_run_rds(net: Network, config: SamplingConfig) -> tuple[Sample, se
                 break
             untouched = np.frombuffer(state, dtype=np.uint8) == _UNTOUCHED
             try:
-                node = reseed(untouched)
+                node = _draw_seeds(net, config.seed_rule, 1, random, untouched)[0]
             except SamplingError:
                 exhausted = True
                 break
@@ -1233,8 +1213,8 @@ _PATH_CASES = {
     "zero_pass": (NetworkSpec(n_nodes=120, n_infected=30, rng_seed=9),
                   SamplingConfig(n_seeds=3, coupons_per_respondent=300, target_n=60, rng_seed=10,
                                  behavior=BehaviorConfig(pass_prob_infected=0.0))),
-    # A dead holder's coupons are jumped over with a uniform seed's 32-bit
-    # half still buffered; the reseed after it must draw that half.
+    # A dead holder's coupons are jumped over; the uniform-k reseed after
+    # them must read the double that comes next.
     "zero_pass_then_uniform_reseed": (
         NetworkSpec(n_nodes=120, n_infected=30, rng_seed=11),
         SamplingConfig(n_seeds=1, seed_rule=SeedRule.uniform_lowest(15),
