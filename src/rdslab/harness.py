@@ -193,6 +193,15 @@ def summarize(table: ReplicationTable) -> ConditionSummary:
     return ConditionSummary(label=table.label, rows=out)
 
 
+def _by_replication(table: ReplicationTable) -> dict[int, ReplicationRow]:
+    """The table's rows by replication index, in table order; an index met twice is refused."""
+    rows: dict[int, ReplicationRow] = {}
+    for row in table.rows:
+        if rows.setdefault(row.replication, row) is not row:
+            raise ConfigError(f"table {table.label!r} repeats replication {row.replication}")
+    return rows
+
+
 def paired_difference_test(
     first: ReplicationTable,
     second: ReplicationTable,
@@ -201,19 +210,20 @@ def paired_difference_test(
 ) -> PairedTestResult:
     """Paired t test on within-replication differences (first minus second).
 
-    Pairs use replications where both tables carry a value.  The adjusted
-    p-value is the Bonferroni correction ``min(1, p * comparisons)``.  With
-    zero variance the test degenerates: all-zero differences give p = 1;
-    identical nonzero differences give an infinite statistic with the
-    ``degenerate`` flag set.
+    Pairs use replications where both tables carry a value; a table that
+    repeats a replication index cannot be paired and raises `ConfigError`.
+    The adjusted p-value is the Bonferroni correction ``min(1, p *
+    comparisons)``.  With zero variance the test degenerates: all-zero
+    differences give p = 1; identical nonzero differences give an infinite
+    statistic with the ``degenerate`` flag set.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ConfigError(f"unknown estimator {estimator!r}")
     if comparisons < 1:
         raise ConfigError(f"comparisons must be >= 1, got {comparisons}")
-    by_rep = {row.replication: row for row in second.rows}
+    by_rep = _by_replication(second)
     diffs = []
-    for row in first.rows:
+    for row in _by_replication(first).values():
         other = by_rep.get(row.replication)
         if other is None:
             continue

@@ -43,6 +43,9 @@ __all__ = [
 #: Largest node count a spec or a network file may declare.
 MAX_NODES = 10**7
 
+# Pair indices `generate_network` decodes at once, so its temporaries stay small.
+_DECODE_SLICE = 2**13
+
 
 def _key_layout(n: int) -> tuple[int, type]:
     """Bits per node id in a CSR key ``src << bits | dst`` over ``n`` nodes, and the key dtype.
@@ -319,11 +322,12 @@ def generate_network(spec: NetworkSpec) -> Network:
     Nodes ``0 .. n_infected - 1`` are infected.  Deterministic given
     ``spec.rng_seed``.
 
-    Each block decodes straight into the CSR keys of both directions of its
-    edges (`Network._fill`), 32-bit up to 2**15 nodes, so the peak memory of
-    a call is little more than the keys and the CSR built from them: at mean
-    degree 7 and one infected node in five the tracemalloc peak is about
-    1.2 MB at 10,000 nodes and 13 MB at 100,000 nodes.
+    Each block decodes, a bounded slice at a time, straight into the CSR keys
+    of both directions of its edges (`Network._fill`), 32-bit up to 2**15
+    nodes, so the peak memory of a call is little more than the keys and the
+    CSR built from them: at mean degree 7 and one infected node in five the
+    tracemalloc peak is about 1.0 MB at 10,000 nodes and 12.3 MB at 100,000
+    nodes.
     """
     p = solve_block_probabilities(spec)
     rng = np.random.default_rng(spec.rng_seed)
@@ -336,20 +340,26 @@ def generate_network(spec: NetworkSpec) -> Network:
     a, b = len(ii), len(ii) + len(cross)
     keys = np.empty((2, b + len(uu)), dtype=dtype)
 
-    def put(rows: slice, u: np.ndarray, v: np.ndarray, shift_u: int, shift_v: int) -> None:
-        """Write edges ``(u + shift_u, v + shift_v)`` to ``rows``: forward keys, backward keys."""
-        u += shift_u
-        v += shift_v
-        for out, src, dst in ((keys[0, rows], u, v), (keys[1, rows], v, u)):
-            np.left_shift(src, bits, out=out)
-            out |= dst
+    def put(start: int, pairs: np.ndarray, decode, shift_u: int, shift_v: int) -> None:
+        """Write edges ``(u + shift_u, v + shift_v)``, ``u, v = decode(pairs)``, from ``start`` on.
+
+        Forward keys go to ``keys[0]``, backward keys to ``keys[1]``, one slice at a time.
+        """
+        for lo in range(0, len(pairs), _DECODE_SLICE):
+            u, v = decode(pairs[lo : lo + _DECODE_SLICE])
+            u += shift_u
+            v += shift_v
+            rows = slice(start + lo, start + lo + len(u))
+            for out, src, dst in ((keys[0, rows], u, v), (keys[1, rows], v, u)):
+                np.left_shift(src, bits, out=out)
+                out |= dst
 
     # Each block's pair indices are freed before the next block decodes.
-    put(slice(0, a), *_triangle_pairs(ii, n_a), 0, 0)
+    put(0, ii, lambda k: _triangle_pairs(k, n_a), 0, 0)
     del ii
-    put(slice(a, b), *np.divmod(cross, n_b), 0, n_a)
+    put(a, cross, lambda k: np.divmod(k, n_b), 0, n_a)
     del cross
-    put(slice(b, None), *_triangle_pairs(uu, n_b), n_a, n_a)
+    put(b, uu, lambda k: _triangle_pairs(k, n_b), n_a, n_a)
     del uu
     return Network._from_keys(np.arange(n) < n_a, keys.reshape(-1), bits)
 

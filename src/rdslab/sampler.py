@@ -29,11 +29,10 @@ in enrolment order the queue is the sample itself, walked by a cursor.  A
 holder's coupons were issued together, so they come back to back, and
 between two of them only the holder's own pick changes any node's state:
 one inner loop filters and weighs the candidates once for all of them and
-deletes each pick from both lists.  Once no candidate is left, the
-remaining coupons expire without a draw.  A holder who passes with
-probability 0, or whose candidates all weigh 0, would spend one pass draw
-per coupon and change nothing, so its remaining coupons expire at once and
-the bit generator jumps over their draws (`_Uniforms.skip`).
+deletes each pick from both lists.  A coupon takes one pass draw while its
+holder has candidates, and a coupon whose candidates all weigh 0 expires
+after that draw; once no candidate is left, the remaining coupons expire
+without a draw.
 
 The loop reads the CSR arrays through memoryviews, which index to Python
 ints without copying.  It looks each behaviour factor up by node type, the
@@ -41,8 +40,8 @@ node's infection group and the rank of its degree among the T degrees
 present: a pass or response probability is one read per node, and a
 candidate's weight one read from a (2T) x (2T) table of pair weights, built
 only when some weight is not 1 and never larger than about 16 entries per
-edge (`_Tables`).  One stream object hands out every draw of a run, seeds
-included (`_Uniforms`).
+edge (`_Tables`).  One stream hands out every draw of a run, seeds included
+(`_uniforms`).
 With unit weights it picks ``eligible[int(u * k)]``, where the cumulative
 walk would stop; otherwise the walk's last running sum is the total, not
 ``sum()``, which compensates rounding from Python 3.12 on.  The draws
@@ -64,9 +63,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right, insort
-from collections import deque
-from itertools import accumulate, chain, islice
-from operator import length_hint
+from itertools import accumulate, chain
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Optional
 
@@ -530,40 +527,23 @@ class _Tables:
         self.code = code.tolist() if self.weight is not None else memoryview(code)
 
 
-class _Uniforms:
-    """The values of successive ``rng.random()`` calls, drawn in blocks.
+# Doubles `_uniforms` draws per numpy call.
+_BLOCK = 128
 
-    ``rng.random(k)`` gives the doubles that k scalar calls would give, one
-    bit-generator output each, so the values and their order are unchanged;
-    ``next`` just costs a list step instead of a numpy call.  Nothing else
-    reads ``rng``.
+
+def _uniforms(rng: np.random.Generator) -> Callable[[], float]:
+    """A function returning the value of the next ``rng.random()`` call, drawn in blocks.
+
+    ``rng.random(k)`` gives the doubles that k scalar calls would give, so
+    the values and their order are unchanged; a call just costs a list step
+    instead of a numpy call.  Nothing else reads ``rng``.
     """
-
-    _BLOCK = 128
-
-    def __init__(self, rng: np.random.Generator) -> None:
-        self.rng = rng
-        self._current = iter(())
-        self.next = chain.from_iterable(self._blocks()).__next__
-
-    def _blocks(self):
-        while True:
-            self._current = iter(self.rng.random(self._BLOCK).tolist())
-            yield self._current
-
-    def skip(self, count: int) -> None:
-        """Hand out the next ``count`` values unread, in O(1) beyond this block."""
-        left = length_hint(self._current)
-        deque(islice(self._current, count), maxlen=0)
-        if count > left:
-            # One double per bit-generator output.
-            self.rng.bit_generator.advance(count - left)
+    return chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None)).__next__
 
 
 def run_rds(net: Network, config: SamplingConfig) -> Sample:
     """Run one referral sample; deterministic given ``config.rng_seed``."""
-    uniforms = _Uniforms(np.random.default_rng(config.rng_seed))
-    random = uniforms.next
+    random = _uniforms(np.random.default_rng(config.rng_seed))
     tables = _Tables(net, config.behavior)
     code, weight = tables.code, tables.weight
     pass_prob, response_prob = tables.pass_prob, tables.response_prob
@@ -608,10 +588,6 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
             if not eligible:
                 expired += left
                 break
-            if p_pass <= 0.0:
-                uniforms.skip(left)
-                expired += left
-                break
             if random() >= p_pass:
                 expired += 1
                 continue
@@ -619,12 +595,9 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                 j = int(random() * len(eligible))
             else:
                 cumulative = list(accumulate(weights))
-                if cumulative[-1] <= 0.0:
-                    # No pick will ever shrink the list: this coupon and
-                    # each one after it expire after their pass draws.
-                    uniforms.skip(left - 1)
-                    expired += left
-                    break
+                if cumulative[-1] <= 0.0:  # nobody can be picked
+                    expired += 1
+                    continue
                 # The first running sum above the target, else the last candidate.
                 j = bisect_right(cumulative, random() * cumulative[-1], 0, len(cumulative) - 1)
                 del weights[j]

@@ -31,7 +31,7 @@ from rdslab import (
     summarize,
 )
 from rdslab.estimators import ESTIMATOR_NAMES
-from rdslab.harness import derive_rep_seeds
+from rdslab.harness import REPLICATION_COLUMNS, derive_rep_seeds
 
 SMALL = Condition(
     label="small",
@@ -233,6 +233,23 @@ class TestPairedDifferenceTest:
             paired_difference_test(table, table, "rds2")
         with pytest.raises(ConfigError, match="comparisons must be >= 1, got 0"):
             paired_difference_test(table, table, "naive", comparisons=0)
+
+    def test_repeated_replication_index_rejected(self, tmp_path):
+        # Paired with itself, a table whose two rows both claim replication 0
+        # would pair each row with the last one, not give a zero difference.
+        path = tmp_path / "twice.csv"
+        rows = (f"a,0,{naive},0.5,0.5,0.5,0.5,0,0,,200,0" for naive in ("0.2", "0.3"))
+        path.write_text(",".join(REPLICATION_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        table = load_replication_csv(path)
+        with pytest.raises(ConfigError, match="table 'a' repeats replication 0"):
+            paired_difference_test(table, table, "naive")
+
+    def test_repeated_index_in_second_table_rejected(self):
+        first = single_column_table("a", [0.2, 0.3])
+        second = single_column_table("b", [0.2, 0.3])
+        second.rows[1] = dataclasses.replace(second.rows[1], replication=0)
+        with pytest.raises(ConfigError, match="table 'b' repeats replication 0"):
+            paired_difference_test(first, second, "naive")
 
     def test_too_few_pairs_rejected(self):
         with pytest.raises(EstimationError):

@@ -22,6 +22,7 @@ from rdslab import (
     save_network,
     solve_block_probabilities,
 )
+from rdslab import netgen
 from rdslab.netgen import MAX_NODES, _geometric_gaps, _triangle_pairs, expected_group_degrees
 
 DEFAULT = NetworkSpec()
@@ -252,23 +253,36 @@ class TestGenerateNetwork:
     @given(data=st.data())
     @example(data=None)
     def test_small_specs_equal_reference(self, data):
+        self._assert_equals_reference(self._small_spec(data))
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @given(data=st.data())
+    def test_sliced_decoding_equals_reference(self, width, data):
+        # Slices of 1, 2 and 3 pair indices put a slice edge at every
+        # position of every block.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(netgen, "_DECODE_SLICE", width)
+            self._assert_equals_reference(self._small_spec(data))
+
+    @staticmethod
+    def _small_spec(data) -> NetworkSpec:
+        """A feasible spec of at most 60 nodes; two saturated nodes for ``data=None``."""
         if data is None:  # two nodes, every block probability 1
-            spec = NetworkSpec(n_nodes=2, n_infected=1, mean_degree=1.0, homophily_ratio=1.0)
-        else:
-            n = data.draw(st.integers(2, 60))
-            spec = NetworkSpec(
-                n_nodes=n,
-                n_infected=data.draw(st.integers(1, n - 1)),
-                mean_degree=data.draw(st.floats(0.01, 1.0)) * (n - 1),
-                homophily_ratio=data.draw(st.floats(0.2, 8.0)),
-                differential_activity=data.draw(st.floats(0.3, 3.0)),
-                rng_seed=data.draw(st.integers(0, 2**32)),
-            )
-            try:
-                solve_block_probabilities(spec)
-            except ConfigError:
-                assume(False)
-        self._assert_equals_reference(spec)
+            return NetworkSpec(n_nodes=2, n_infected=1, mean_degree=1.0, homophily_ratio=1.0)
+        n = data.draw(st.integers(2, 60))
+        spec = NetworkSpec(
+            n_nodes=n,
+            n_infected=data.draw(st.integers(1, n - 1)),
+            mean_degree=data.draw(st.floats(0.01, 1.0)) * (n - 1),
+            homophily_ratio=data.draw(st.floats(0.2, 8.0)),
+            differential_activity=data.draw(st.floats(0.3, 3.0)),
+            rng_seed=data.draw(st.integers(0, 2**32)),
+        )
+        try:
+            solve_block_probabilities(spec)
+        except ConfigError:
+            assume(False)
+        return spec
 
     def test_blocks_at_and_above_a_third_equal_reference(self):
         # Blocks of 2/3, 1/3 and 4/9, where numpy's `geometric` searches.

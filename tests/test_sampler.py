@@ -5,11 +5,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,7 +45,7 @@ from rdslab.estimators import ENUMERATION_LIMIT
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
     UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
-    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _seed_pool, _Tables, _Uniforms,
+    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _seed_pool, _Tables, _uniforms,
 )
 
 
@@ -428,37 +427,10 @@ class TestUniforms:
     def test_same_stream_as_scalar_calls(self, seed, steps):
         # Blocks of draws give the values scalar calls on one generator give.
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        uniforms = _Uniforms(rng)
+        random = _uniforms(rng)
         for count in steps:
-            assert [uniforms.next() for _ in range(count)] == [ref.random() for _ in range(count)]
-        assert uniforms.next() == ref.random()
-
-    @given(
-        seed=st.integers(0, 2**32),
-        steps=st.lists(st.tuples(st.integers(0, 300), st.integers(0, 3000)), max_size=8),
-    )
-    def test_skip_leaves_the_stream_where_reading_would(self, seed, steps):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        uniforms = _Uniforms(rng)
-        for read, skipped in steps:
-            assert [uniforms.next() for _ in range(read)] == ref.random(read).tolist()
-            uniforms.skip(skipped)
-            ref.random(skipped)
-        assert uniforms.next() == ref.random()
-
-    def test_skip_at_block_edges(self):
-        # Reads and skips that end on, or one off, a block's edge; the next
-        # block and a half of values are the ones reading would give.
-        block = _Uniforms._BLOCK
-        edges = (0, 1, block - 1, block, block + 1)
-        for read, skipped in product(edges, edges):
-            rng, ref = np.random.default_rng(read), np.random.default_rng(read)
-            uniforms = _Uniforms(rng)
-            assert [uniforms.next() for _ in range(read)] == ref.random(read).tolist()
-            uniforms.skip(skipped)
-            ref.random(skipped)
-            after = 3 * block // 2
-            assert [uniforms.next() for _ in range(after)] == ref.random(after).tolist()
+            assert [random() for _ in range(count)] == [ref.random() for _ in range(count)]
+        assert random() == ref.random()
 
 
 class TestRunRds:
@@ -647,8 +619,7 @@ class TestRunRds:
         # The centre of a ten-leaf star recruits with one coupon; every leaf
         # weighs ``weight`` and the pick's uniform is ``pick``.
         script = iter([0.0, 0.0, pick, 0.0])  # seed, pass, pick, response
-        monkeypatch.setattr(sampler_module, "_Uniforms",
-                            lambda rng: SimpleNamespace(next=script.__next__))
+        monkeypatch.setattr(sampler_module, "_uniforms", lambda rng: script.__next__)
         s = run_rds(star_network(10), SamplingConfig(
             n_seeds=1,
             seed_rule=SeedRule.uniform_highest(1),
@@ -1247,22 +1218,6 @@ class TestRespondentMajorLoopMatchesReference:
         assert name in _reference_run_rds(net, config)[1]
         expected = _sample_bytes(_reference_sample, net, config, tmp_path / "sample.txt")
         assert _sample_bytes(run_rds, net, config, tmp_path / "sample.txt") == expected
-
-    @pytest.mark.parametrize("behavior", [BehaviorConfig(pass_prob_infected=0.0),
-                                          _ZERO_WEIGHTS[0]])
-    def test_billion_coupons_per_holder_finish_at_once(self, behavior):
-        # The infected hub cannot pass (or nobody can be picked), so each of
-        # its 10**9 coupons would take one pass draw and change nothing.
-        net = star_network(5)
-        config = SamplingConfig(n_seeds=1, seed_rule=SeedRule.uniform_highest(1),
-                                coupons_per_respondent=10**9, target_n=6,
-                                reseed_on_die_out=False, behavior=behavior)
-        start = time.perf_counter()
-        sample = run_rds(net, config)
-        assert time.perf_counter() - start < 0.5
-        c = sample.counts
-        assert sample.exhausted
-        assert c.coupons_issued == sample.size * 10**9 == c.coupons_resolved
 
     def test_hub_tables_stay_small(self, tmp_path):
         # Types index the tables, not degrees: a hub of degree 20,000 and its
