@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 import typing
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Optional
 
@@ -136,11 +137,33 @@ def parse_config(document: Optional[dict]) -> RunConfig:
     return _build(RunConfig, entries, "")
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that rejects a key repeated within one mapping.
+
+    ``safe_load`` keeps the last value of a repeated key and drops the rest.
+    Merge keys (``<<``) are left to PyYAML, so a key given beside them still
+    overrides the merged one.
+    """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):  # the base class rejects the rest
+                if key in seen:
+                    raise ConfigError(f"repeated config key {key!r} on line "
+                                      f"{key_node.start_mark.line + 1}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
+
+
 def read_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return RunConfig()
     try:
-        document = yaml.safe_load(read_text(path))
+        document = yaml.load(read_text(path), Loader=_UniqueKeyLoader)
     except yaml.YAMLError as err:
         raise ConfigError(f"{path}: not valid YAML: {err}") from err
     return parse_config(document)

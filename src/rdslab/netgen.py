@@ -135,7 +135,14 @@ class Network:
 
     def __init__(self, infected: np.ndarray, edges: np.ndarray):
         infected = np.asarray(infected, dtype=bool)
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        if infected.ndim != 1:
+            raise ConfigError(f"infected must be 1-D, got shape {infected.shape}")
+        edges = np.asarray(edges)
+        # An empty edge list of any shape is accepted; `load_network` passes (0,).
+        if edges.size and (edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind not in "iu"):
+            raise ConfigError(f"edges must be an (E, 2) array of integer node ids, "
+                              f"got shape {edges.shape} of {edges.dtype}")
+        edges = edges.astype(np.int64, copy=False).reshape(-1, 2)
         n = infected.shape[0]
         if n > MAX_NODES:
             raise ConfigError(f"infected must have at most {MAX_NODES} entries, got {n}")

@@ -48,11 +48,12 @@ walk would stop; otherwise the walk's last running sum is the total, not
 (seed, pass, pick, response, reseed) come in the order and number of a loop
 calling ``rng.random()`` and `recruitment_weight` for each candidate.
 
-Each seed pick takes one double.  A PPS seed draw (`pps_degree`,
-`infected_only_pps`) costs O(N + count log N): one integer prefix sum of
-the degrees over all N nodes, then an exact integer search per pick
-(`_pps_picks`).  A uniform-k draw is a partial Fisher-Yates shuffle of the
-k-node pool (`_draw_seeds`).
+`_draw_seeds` decides every seed and reseed, one double per pick.  A PPS
+draw (`pps_degree`, `infected_only_pps`) makes one integer prefix sum of
+the degrees over all N nodes, then per pick an exact binary search and a
+subtraction from the sums after the pick: O(N * count) numpy work.  A
+uniform-k draw sorts the eligible nodes by degree and shuffles the first k
+in part, a Fisher-Yates step per pick.
 
 `run_rds` appends each enrolment to plain lists and builds the columns of
 its `Sample` once, recruiter positions included; a sample built from records
@@ -62,7 +63,7 @@ or read from a file resolves those positions on first use.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from itertools import accumulate, chain
 from dataclasses import asdict, dataclass, field, fields
 from typing import Callable, Iterable, Optional
@@ -375,88 +376,54 @@ def recruitment_weight(
     return w
 
 
-def _eligible(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
-    """Bool mask of the nodes the rule may draw, restricted to ``allowed`` (bool mask)."""
-    mask = allowed & (net.degrees > 0)
-    if rule.variant == INFECTED_ONLY_PPS:
-        mask &= net.infected
-    return mask
-
-
-def _seed_pool(net: Network, rule: SeedRule, allowed: np.ndarray) -> np.ndarray:
-    """Node ids eligible under the rule, restricted to ``allowed`` (bool mask)."""
-    ids = np.flatnonzero(_eligible(net, rule, allowed))
-    if rule.variant in (UNIFORM_LOWEST_K, UNIFORM_HIGHEST_K):
-        deg = net.degrees[ids]
-        if rule.variant == UNIFORM_LOWEST_K:
-            order = np.lexsort((ids, deg))
-        else:
-            order = np.lexsort((ids, -deg))
-        ids = ids[order[: rule.k]]
-    return ids
-
-
-def _pps_picks(weights: np.ndarray, count: int, random: Callable[[], float]) -> list[int]:
-    """``count`` distinct indices drawn with probability proportional to integer ``weights``.
-
-    Each pick takes one ``u = random()`` and is the exact inverse CDF of the
-    weights left: the first ``i`` whose prefix sum with the earlier picks
-    zeroed, ``W'_i``, exceeds ``u * rest``, or equally, being an integer,
-    ``floor(u * rest)``.  The prefix sums are built once in O(N); a pick
-    searches them, shifted past the weight already picked, in
-    O(log N + picks so far).
-    """
-    prefix = weights.cumsum()
-    rest = int(prefix[-1])
-    chosen: list[int] = []
-    # (prefix sum before the pick, its weight) of each pick so far, by index.
-    picked: list[tuple[int, int]] = []
-    for _ in range(count):
-        num, den = random().as_integer_ratio()
-        target = num * rest // den  # floor(u * rest), exactly
-        # A pick lowers the prefix sums from its index on: remove the weight
-        # of each pick whose W' just before it does not yet exceed the target.
-        removed = 0
-        for before, weight in picked:
-            if before - removed > target:
-                break
-            removed += weight
-        j = int(prefix.searchsorted(target + removed, side="right"))
-        weight = int(weights[j])
-        chosen.append(j)
-        insort(picked, (int(prefix[j - 1]) if j else 0, weight))
-        rest -= weight
-    return chosen
-
-
 def _draw_seeds(
     net: Network, rule: SeedRule, count: int, random: Callable[[], float], allowed: np.ndarray
 ) -> list[int]:
     """``count`` distinct seeds under ``rule`` among the ``allowed`` nodes (bool mask).
 
-    Every pick takes one ``random()``.  A PPS pick is an exact integer
-    inverse CDF (`_pps_picks`); a uniform-k draw is a partial Fisher-Yates
-    shuffle of `_seed_pool`: pick ``i`` swaps in the one ``int(u * left)``
-    places further on, where ``left = found - i`` and ``int(u * left) < left``
-    for every ``u < 1``.
+    Isolates are never eligible, nor under ``infected_only_pps`` are
+    uninfected nodes.  Every pick takes one ``u = random()``.
+
+    A PPS pick is the exact integer inverse CDF of the degrees left: the
+    first index whose prefix sum exceeds ``floor(u * rest)``, ``rest`` their
+    total.  The sums are built once, and each pick takes its degree off the
+    sums after it, so they stay those of the degrees left.
+
+    A uniform-k draw is a partial Fisher-Yates shuffle of the k eligible
+    nodes of lowest (or highest) degree, ties broken by id: pick ``i`` swaps
+    in the one ``int(u * left)`` places further on, where ``left = found - i``
+    and ``int(u * left) < left`` for every ``u < 1``.
     """
     pps = rule.variant in _PPS_VARIANTS
+    if rule.variant == INFECTED_ONLY_PPS:
+        allowed = allowed & net.infected
     if pps:
-        weights = np.where(_eligible(net, rule, allowed), net.degrees, 0)
+        weights = net.degrees * allowed  # an isolate weighs 0
         found = int(np.count_nonzero(weights))
     else:
-        pool = _seed_pool(net, rule, allowed).tolist()
+        pool = np.flatnonzero(allowed & (net.degrees > 0))
+        degrees = net.degrees[pool]
+        order = np.lexsort((pool, degrees if rule.variant == UNIFORM_LOWEST_K else -degrees))
+        pool = pool[order[: rule.k]].tolist()
         found = len(pool)
     if found < count:
         raise SamplingError(
             f"need {count} eligible seed nodes under rule {rule.variant}, found {found}"
         )
-    if pps:
-        return _pps_picks(weights, count, random)
-    for i in range(count):
-        j = i + int(random() * (found - i))
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:count]
+    if not pps:
+        for i in range(count):
+            j = i + int(random() * (found - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        return pool[:count]
+    prefix = weights.cumsum()
+    chosen = []
+    for _ in range(count):
+        num, den = random().as_integer_ratio()
+        target = num * int(prefix[-1]) // den  # floor(u * rest), exactly
+        j = int(prefix.searchsorted(target, side="right"))
+        chosen.append(j)
+        prefix[j:] -= weights[j]
+    return chosen
 
 
 def select_seeds(
@@ -465,7 +432,8 @@ def select_seeds(
     """Draw ``count`` distinct seed nodes from the whole network.
 
     Each pick takes one ``rng.random()``, so ``rng`` ends where ``count``
-    scalar calls would leave it.  PPS rules cost O(N + count log N).
+    scalar calls would leave it.  PPS rules cost one O(N) prefix sum, then
+    a binary search and an O(N) suffix subtraction per pick (`_draw_seeds`).
     """
     if count < 1:
         raise ConfigError(f"seed count must be >= 1, got {count}")

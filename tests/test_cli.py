@@ -394,6 +394,10 @@ class TestExitCodes:
             (b"mean_cell_size: 5\n", "unknown config key mean_cell_size"),
             (b"network: [1, 2\n", "not valid YAML"),
             (b"label: caf\xe9\n", "not UTF-8 text (byte 10)"),
+            (b"network:\n  n_nodes: 300\n  n_nodes: 50\n  n_infected: 20\n",
+             "repeated config key 'n_nodes' on line 3"),
+            (b"network:\n  n_nodes: 300\n  n_infected: 20\nnetwork:\n  n_infected: 10\n",
+             "repeated config key 'network' on line 4"),
         ],
     )
     def test_unreadable_config_is_one_json_line(self, tmp_path, capsys, text, needle):

@@ -362,6 +362,12 @@ class TestNetworkType:
             Network(infected, np.array([[0, 0]]))
         with pytest.raises(ConfigError):
             Network(infected, np.array([[0, 3]]))
+        # A 2 x 3 array is not three pairs, and 1.9 is not node 1.
+        for edges in ([[0, 1, 2], [1, 2, 0]], [[0, 1.9]], [0, 1], [[[0, 1]]]):
+            with pytest.raises(ConfigError, match="edges"):
+                Network(infected, edges)
+        with pytest.raises(ConfigError, match="infected"):
+            Network(np.zeros((3, 1), dtype=bool), [[0, 1]])
 
     def test_canonicalizes_edges(self):
         net = Network(np.array([True, False, False]), np.array([[2, 0], [0, 2], [1, 0]]))

@@ -45,7 +45,7 @@ from rdslab.estimators import ENUMERATION_LIMIT
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
     UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
-    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _seed_pool, _Tables, _uniforms,
+    _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _Tables, _uniforms,
 )
 
 
@@ -59,6 +59,12 @@ def star_network(leaves: int = 9) -> Network:
 def path_network(n: int = 5) -> Network:
     edges = np.array([[i, i + 1] for i in range(n - 1)])
     return Network(np.ones(n, dtype=bool), edges)
+
+
+def _pool(net: Network, rule: SeedRule, count: int) -> list[int]:
+    # With every uniform 0 a uniform-k draw swaps nothing and a PPS pick takes
+    # the first eligible node left, so the draw lists the pool in order.
+    return _draw_seeds(net, rule, count, lambda: 0.0, np.ones(net.n_nodes, dtype=bool))
 
 
 class TestSeedRules:
@@ -88,24 +94,21 @@ class TestSeedRules:
 
     def test_uniform_pools_exact(self):
         net = path_network(5)  # degrees 1 2 2 2 1
-        allowed = np.ones(5, dtype=bool)
-        assert _seed_pool(net, SeedRule.uniform_lowest(2), allowed).tolist() == [0, 4]
-        assert _seed_pool(net, SeedRule.uniform_lowest(3), allowed).tolist() == [0, 4, 1]
-        assert _seed_pool(net, SeedRule.uniform_highest(3), allowed).tolist() == [1, 2, 3]
+        assert _pool(net, SeedRule.uniform_lowest(2), 2) == [0, 4]
+        assert _pool(net, SeedRule.uniform_lowest(3), 3) == [0, 4, 1]
+        assert _pool(net, SeedRule.uniform_highest(3), 3) == [1, 2, 3]
 
     def test_uniform_pool_ties_break_by_id(self):
         net = Network(
             np.ones(4, dtype=bool), np.array([[0, 1], [0, 2], [1, 3]])
         )  # degrees 2 2 1 1
-        allowed = np.ones(4, dtype=bool)
-        assert _seed_pool(net, SeedRule.uniform_lowest(2), allowed).tolist() == [2, 3]
-        assert _seed_pool(net, SeedRule.uniform_highest(2), allowed).tolist() == [0, 1]
+        assert _pool(net, SeedRule.uniform_lowest(2), 2) == [2, 3]
+        assert _pool(net, SeedRule.uniform_highest(2), 2) == [0, 1]
 
     def test_infected_only_pool_skips_uninfected_and_isolates(self):
         infected = np.array([True, True, False, True])
         net = Network(infected, np.array([[0, 2], [2, 3]]))  # node 1 is isolated
-        pool = _seed_pool(net, SeedRule.infected_only_pps(), np.ones(4, dtype=bool))
-        assert pool.tolist() == [0, 3]
+        assert _pool(net, SeedRule.infected_only_pps(), 2) == [0, 3]
 
     def test_insufficient_pool_raises(self):
         net = star_network(3)
@@ -193,6 +196,26 @@ class TestCertifiedPpsPick:
         expected = _exact_pps_reference(w, uniforms)
         assert _draw_seeds(net, rule, len(uniforms), iter(uniforms).__next__, allowed) == expected
 
+    @given(case=seed_populations(), lowest=st.booleans(), k=st.integers(1, 20),
+           uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True)
+                             | st.sampled_from([0.0, 0.5, float(np.nextafter(1.0, 0.0))]),
+                             min_size=1, max_size=20))
+    def test_uniform_k_draws_equal_reference(self, case, lowest, k, uniforms):
+        # Reference: the eligible ids sorted by (degree, id) or (-degree, id),
+        # cut at k, then a Fisher-Yates shuffle over the given uniforms.
+        net, allowed = case
+        rule = SeedRule.uniform_lowest(k) if lowest else SeedRule.uniform_highest(k)
+        sign = 1 if lowest else -1
+        eligible = [v for v in range(net.n_nodes) if allowed[v] and net.degrees[v] > 0]
+        pool = sorted(eligible, key=lambda v: (sign * int(net.degrees[v]), v))[:k]
+        uniforms = uniforms[: len(pool)]
+        assume(uniforms)
+        for i, u in enumerate(uniforms):
+            j = i + int(u * (len(pool) - i))
+            pool[i], pool[j] = pool[j], pool[i]
+        expected = pool[: len(uniforms)]
+        assert _draw_seeds(net, rule, len(uniforms), iter(uniforms).__next__, allowed) == expected
+
     @pytest.mark.parametrize("rule", _PPS_RULES)
     def test_uniform_on_a_step_picks_the_next_index(self, rule):
         # Weights 2, 8, 2, 4 sum to 16, and to 8 once node 1 is picked, so
@@ -232,7 +255,7 @@ class TestCertifiedPpsPick:
         # Each of three picks without replacement, at a pinned seed, is
         # uniform over the 7-node pool, by chi-square.
         net = generate_network(NetworkSpec(n_nodes=60, n_infected=12, rng_seed=4))
-        pool = _seed_pool(net, rule, np.ones(net.n_nodes, dtype=bool)).tolist()
+        pool = _pool(net, rule, 7)
         rng = np.random.default_rng(2025)
         counts = np.zeros((3, net.n_nodes), dtype=int)
         for _ in range(7000):
