@@ -330,7 +330,8 @@ def load_replication_csv(path) -> ReplicationTable:
     double reads as infinity and is refused) and the replication index,
     ``realized_n`` and ``reseeds`` nonnegative.  The base seed is not in the
     file and reads as 0; a failed estimate takes the row's whole
-    ``failure_code`` cell as its code.
+    ``failure_code`` cell as its code.  A repeated replication index is
+    refused with the line of its repeat.
     """
     numbered = enumerate(read_text(path).split("\n"), start=1)
     lines = [(lineno, line) for lineno, line in numbered if line.strip()]
@@ -338,6 +339,7 @@ def load_replication_csv(path) -> ReplicationTable:
         raise ConfigError(f"{path}: not a replication table (unexpected header)")
     label: Optional[str] = None
     rows = []
+    first_seen: dict[int, int] = {}
     for lineno, line in lines[1:]:
         where = f"{path}:{lineno}"
         cells = line.split(",")
@@ -367,6 +369,10 @@ def load_replication_csv(path) -> ReplicationTable:
             counts[column] = as_int(cell[column], where)
             if counts[column] < 0:
                 raise ConfigError(f"{where}: {column} must be >= 0, got {counts[column]}")
+        seen = first_seen.setdefault(counts["replication"], lineno)
+        if seen != lineno:
+            raise ConfigError(f"{where}: replication {counts['replication']} "
+                              f"repeats the index of line {seen}")
         rows.append(ReplicationRow(estimates=estimates, **counts))
     if label is None:
         raise ConfigError(f"{path}: table has no rows")

@@ -56,6 +56,13 @@ def _key_layout(n: int) -> tuple[int, type]:
     return bits, np.int32 if bits <= 15 else np.int64
 
 
+def _write_keys(out: np.ndarray, u: np.ndarray, v: np.ndarray, bits: int) -> None:
+    """Write in place ``out[0] = u << bits | v`` and ``out[1] = v << bits | u`` (`_key_layout`)."""
+    for row, src, dst in ((out[0], u, v), (out[1], v, u)):
+        np.left_shift(src, bits, out=row)
+        row |= dst
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Moment-level description of a population to generate.
@@ -152,8 +159,7 @@ class Network:
             raise ConfigError("self loops are not allowed")
         bits, dtype = _key_layout(n)
         keys = np.empty((2, edges.shape[0]), dtype=dtype)
-        np.left_shift(edges.T, bits, out=keys)
-        keys |= edges.T[::-1]
+        _write_keys(keys, edges[:, 0], edges[:, 1], bits)
         self._fill(infected, keys.reshape(-1), bits)
 
     @classmethod
@@ -325,49 +331,40 @@ def generate_network(spec: NetworkSpec) -> Network:
     """Draw one network from the spec.
 
     Every unordered node pair receives an independent Bernoulli edge with the
-    probability of its block, skip-sampled block by block in O(N + E) time.
-    Nodes ``0 .. n_infected - 1`` are infected.  Deterministic given
-    ``spec.rng_seed``.
+    probability of its block, skip-sampled block by block in O(N + E) time,
+    in the order infected-infected, cross, uninfected-uninfected.  Nodes
+    ``0 .. n_infected - 1`` are infected.  Deterministic given ``spec.rng_seed``.
 
     Each block decodes, a bounded slice at a time, straight into the CSR keys
-    of both directions of its edges (`Network._fill`), 32-bit up to 2**15
-    nodes, so the peak memory of a call is little more than the keys and the
-    CSR built from them: at mean degree 7 and one infected node in five the
-    tracemalloc peak is about 1.0 MB at 10,000 nodes and 12.3 MB at 100,000
-    nodes.
+    of both directions of its edges (`_write_keys`, then `Network._fill`),
+    32-bit up to 2**15 nodes, so the peak memory of a call is little more than
+    the keys and the CSR built from them: at mean degree 7 and one infected
+    node in five the tracemalloc peak is about 1.0 MB at 10,000 nodes and
+    12.3 MB at 100,000 nodes.
     """
     p = solve_block_probabilities(spec)
     rng = np.random.default_rng(spec.rng_seed)
     n, n_a = spec.n_nodes, spec.n_infected
-    n_b = n - n_a
-    ii = _skip_sample(rng, n_a * (n_a - 1) // 2, p.infected_infected)
-    cross = _skip_sample(rng, n_a * n_b, p.cross)
-    uu = _skip_sample(rng, n_b * (n_b - 1) // 2, p.uninfected_uninfected)
+    # The upper triangle of the 2 x 2 block table in draw order, groups as (first node, size).
+    infected, uninfected = (0, n_a), (n_a, n - n_a)
+    blocks = [(infected, infected, p.infected_infected), (infected, uninfected, p.cross),
+              (uninfected, uninfected, p.uninfected_uninfected)]
+    # A diagonal block holds s(s - 1)/2 pairs, the cross block s·t; all draw before any decodes.
+    pairs = [_skip_sample(rng, g[1] * (g[1] - 1) // 2 if g == h else g[1] * h[1], q)
+             for g, h, q in blocks]
     bits, dtype = _key_layout(n)
-    a, b = len(ii), len(ii) + len(cross)
-    keys = np.empty((2, b + len(uu)), dtype=dtype)
-
-    def put(start: int, pairs: np.ndarray, decode, shift_u: int, shift_v: int) -> None:
-        """Write edges ``(u + shift_u, v + shift_v)``, ``u, v = decode(pairs)``, from ``start`` on.
-
-        Forward keys go to ``keys[0]``, backward keys to ``keys[1]``, one slice at a time.
-        """
-        for lo in range(0, len(pairs), _DECODE_SLICE):
-            u, v = decode(pairs[lo : lo + _DECODE_SLICE])
-            u += shift_u
-            v += shift_v
-            rows = slice(start + lo, start + lo + len(u))
-            for out, src, dst in ((keys[0, rows], u, v), (keys[1, rows], v, u)):
-                np.left_shift(src, bits, out=out)
-                out |= dst
-
-    # Each block's pair indices are freed before the next block decodes.
-    put(0, ii, lambda k: _triangle_pairs(k, n_a), 0, 0)
-    del ii
-    put(a, cross, lambda k: np.divmod(k, n_b), 0, n_a)
-    del cross
-    put(b, uu, lambda k: _triangle_pairs(k, n_b), n_a, n_a)
-    del uu
+    keys = np.empty((2, sum(map(len, pairs))), dtype=dtype)
+    start = 0
+    for (first_u, s), (first_v, t), _ in blocks:
+        k = pairs.pop(0)  # each block's pair indices are freed before the next decodes
+        for lo in range(0, len(k), _DECODE_SLICE):
+            part = k[lo : lo + _DECODE_SLICE]
+            u, v = _triangle_pairs(part, s) if first_u == first_v else np.divmod(part, t)
+            u += first_u
+            v += first_v
+            _write_keys(keys[:, start + lo : start + lo + len(part)], u, v, bits)
+        start += len(k)
+    k = part = u = v = None  # the last block goes before the CSR build, too
     return Network._from_keys(np.arange(n) < n_a, keys.reshape(-1), bits)
 
 

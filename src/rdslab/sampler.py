@@ -616,7 +616,10 @@ def save_sample(sample: Sample, path) -> None:
 
 
 def load_sample(path) -> Sample:
-    """Read a sample written by `save_sample`."""
+    """Read a sample written by `save_sample`.
+
+    A row names its recruiter or is a seed; only a seed may be a reseed.
+    """
     header, *lines = read_text(path).split("\n")
     if header.strip() != _SAMPLE_COLUMNS:
         raise ConfigError(f"{path}: unexpected header {header.strip()!r}")
@@ -653,6 +656,8 @@ def load_sample(path) -> Sample:
             raise ConfigError(f"{where}: values must fit in a 64-bit signed integer")
         recruiter = None if rec < 0 else rec
         infected, reseed = as_flag(parts[3], where), as_flag(parts[6], where)
+        if reseed and recruiter is not None:
+            raise ConfigError(f"{where}: reseed must be 0 on a row with recruiter_id {rec}")
         records.append(RespondentRecord(node, degree, infected, recruiter, wave, reseed))
     exhausted = meta.pop("exhausted", False)
     return Sample(records=records, counts=EventCounts(**meta), exhausted=exhausted)

@@ -626,11 +626,18 @@ class TestSummarize:
         assert payload["error"] == "config"
         assert f"{path}:2" in payload["message"]
 
-    def test_repeated_replication_index_loads(self, tmp_path):
+    def test_repeated_replication_index_rejected(self, tmp_path, capsys):
+        # Counted twice, the repeat would enter every mean and n_reps.
         path = tmp_path / "twice.csv"
-        row = "a,3,0.3,0.5,0.5,0.5,0.5,0,0,,200,1"
-        path.write_text(",".join(REPLICATION_COLUMNS) + f"\n{row}\n{row}\n")
-        assert [r.replication for r in load_replication_csv(path).rows] == [3, 3]
+        rows = ["a,0,0.1,0.5,0.5,0.5,0.5,0,0,,200,1", "a,0,0.3,0.5,0.5,0.5,0.5,0,0,,200,1",
+                "a,1,0.2,0.5,0.5,0.5,0.5,0,0,,200,1"]
+        path.write_text(",".join(REPLICATION_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: replication 0 repeats "
+                                                        "the index of line 2")):
+            load_replication_csv(path)
+        assert dispatch(["summarize", str(path)]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        assert f"{path}:3" in json.loads(line)["message"]
 
     def test_header_only_table_is_one_json_line(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -30,8 +30,9 @@ from rdslab import (
     run_replication,
     summarize,
 )
+from rdslab import cli, estimators, harness
 from rdslab.estimators import ESTIMATOR_NAMES
-from rdslab.harness import REPLICATION_COLUMNS, derive_rep_seeds
+from rdslab.harness import derive_rep_seeds
 
 SMALL = Condition(
     label="small",
@@ -72,13 +73,14 @@ replication_tables = st.builds(
     ReplicationTable,
     label=st.text("abcXYZ019_-. ", min_size=1, max_size=8),
     base_seed=st.just(0),
+    # The loader refuses a repeated replication index, so indices are unique.
     rows=st.lists(st.builds(
         ReplicationRow,
         replication=st.integers(0, 10**6),
         estimates=estimate_sets(),
         realized_n=st.integers(0, 10**4),
         reseeds=st.integers(0, 100),
-    ), min_size=1, max_size=8),
+    ), min_size=1, max_size=8, unique_by=lambda row: row.replication),
 )
 
 
@@ -137,6 +139,37 @@ class TestRunCondition:
     def test_invalid_condition_rejected_when_constructed(self, field, value):
         with pytest.raises(ConfigError, match=field):
             Condition(**{"label": "x", field: value})
+
+
+class TestBenchPatchTargets:
+    def test_pipeline_calls_each_name_the_bench_wraps_once(self, monkeypatch, tmp_path, capsys):
+        # `bench/run.py` times each stage by wrapping these module attributes,
+        # so a renamed target or a bound reference would lose its span.
+        targets = [(harness, "generate_network"), (harness, "run_rds"),
+                   (harness, "estimate_all"), (estimators, "naive_estimate"),
+                   (estimators, "vh_estimate"), (estimators, "ss_estimate"),
+                   (estimators, "sh_estimate"), (estimators, "_h_components"),
+                   (cli, "run_condition")]
+        calls = dict.fromkeys((name for _, name in targets), 0)
+
+        def counted(name, original):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return call
+
+        expected = run_replication(SMALL, 1)
+        for module, name in targets:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        assert run_replication(SMALL, 1) == expected
+        assert calls == {**dict.fromkeys(calls, 1), "run_condition": 0}
+        config = tmp_path / "cfg.yaml"
+        config.write_text("network: {n_nodes: 300, n_infected: 60}\n"
+                          "sampling: {n_seeds: 4, target_n: 50}\n"
+                          "experiment: {replications: 1}\n")
+        argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "exp")]
+        assert cli.dispatch(argv) == 0
+        assert calls["run_condition"] == 1
 
 
 class TestSummarize:
@@ -234,13 +267,11 @@ class TestPairedDifferenceTest:
         with pytest.raises(ConfigError, match="comparisons must be >= 1, got 0"):
             paired_difference_test(table, table, "naive", comparisons=0)
 
-    def test_repeated_replication_index_rejected(self, tmp_path):
+    def test_repeated_replication_index_rejected(self):
         # Paired with itself, a table whose two rows both claim replication 0
         # would pair each row with the last one, not give a zero difference.
-        path = tmp_path / "twice.csv"
-        rows = (f"a,0,{naive},0.5,0.5,0.5,0.5,0,0,,200,0" for naive in ("0.2", "0.3"))
-        path.write_text(",".join(REPLICATION_COLUMNS) + "\n" + "\n".join(rows) + "\n")
-        table = load_replication_csv(path)
+        table = single_column_table("a", [0.2, 0.3])
+        table.rows[1] = dataclasses.replace(table.rows[1], replication=0)
         with pytest.raises(ConfigError, match="table 'a' repeats replication 0"):
             paired_difference_test(table, table, "naive")
 

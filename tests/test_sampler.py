@@ -6,7 +6,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import accumulate
 from types import SimpleNamespace
@@ -34,6 +34,7 @@ from rdslab import (
     export_csv,
     generate_network,
     load_sample,
+    naive_estimate,
     recruitment_weight,
     run_condition,
     run_rds,
@@ -47,6 +48,8 @@ from rdslab.sampler import (
     UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
     _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _Tables, _uniforms,
 )
+
+from exact_rds import referral_outcomes
 
 
 def star_network(leaves: int = 9) -> Network:
@@ -754,7 +757,9 @@ class TestSampleSerialization:
             recruiter_id=st.none() | st.integers(0, 10**6),
             wave=st.integers(0, 50),
             reseed=st.booleans(),
-        ), max_size=20),
+        # Only a row with no recruiter may be a reseed (`load_sample` refuses the rest).
+        ).map(lambda r: dataclasses.replace(r, reseed=r.reseed and r.recruiter_id is None)),
+            max_size=20),
         counts=st.builds(EventCounts, *[st.integers(0, 10**4)] * 4),
         exhausted=st.booleans(),
     )
@@ -782,6 +787,8 @@ class TestSampleSerialization:
             ("0 -5 -3 1 -1 0 0\n", "bad.txt:2: node_id must be >= 0, got -5"),
             ("0 5 3 1 -1 0 0\n1 6 -2 0 -1 0 0\n", "bad.txt:3: degree must be >= 0, got -2"),
             ("0 5 3 1 -1 0 0\n1 7 2 1 5 -4 0\n", "bad.txt:3: wave must be >= 0, got -4"),
+            ("0 1 3 1 -1 0 0\n1 2 2 0 1 1 1\n", "bad.txt:3: reseed must be 0 on a row with "
+             "recruiter_id 1"),
         ]:
             path.write_text(header + rows)
             with pytest.raises(ConfigError, match=message):
@@ -1272,3 +1279,45 @@ class TestRespondentMajorLoopMatchesReference:
         reference, _ = _reference_run_rds(generate_network(spec), cfg)
         save_sample(reference, tmp_path / "reference.txt")
         assert hashlib.sha256((tmp_path / "reference.txt").read_bytes()).hexdigest() == digest
+
+
+# Seven nodes and ten edges, nodes 0, 1 and 4 infected: small enough to enumerate.
+_ORACLE_NET = Network(np.isin(np.arange(7), [0, 1, 4]), np.array(
+    [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6), (0, 6)]))
+_ORACLE_BEHAVIORS = {
+    "identity": BehaviorConfig(),
+    "weighted": BehaviorConfig(pass_prob_infected=0.6, infected_candidate_weight=2.5,
+                               own_group_weight_uninfected=0.5, response_prob_uninfected=0.7),
+}
+_ORACLE_RUNS = 20_000
+
+
+class TestExactReferralOracle:
+    """`run_rds` against `exact_rds`, written from the process the sampler docstring specifies."""
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_BEHAVIORS))
+    def test_outcome_frequencies_match_exact_probabilities(self, name):
+        config = SamplingConfig(n_seeds=1, seed_rule=SeedRule.pps_degree(),
+                                coupons_per_respondent=2, target_n=5,
+                                behavior=_ORACLE_BEHAVIORS[name])
+        exact = referral_outcomes(_ORACLE_NET, config)
+        assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
+        counts, naive = Counter(), []
+        for seed in range(_ORACLE_RUNS):
+            sample = run_rds(_ORACLE_NET, dataclasses.replace(config, rng_seed=seed))
+            counts[tuple(sample.node_id.tolist()), tuple(sample.recruiter_pos.tolist())] += 1
+            naive.append(naive_estimate(sample))
+        assert set(counts) <= set(exact)
+        # Outcomes expected fewer than 5 times are pooled into one cell.
+        expected = _ORACLE_RUNS * np.array(list(exact.values()))
+        observed = np.array([counts[outcome] for outcome in exact])
+        rare = expected < 5
+        if rare.any():
+            expected = np.append(expected[~rare], expected[rare].sum())
+            observed = np.append(observed[~rare], observed[rare].sum())
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        assert stats.chi2.sf(chi2, len(expected) - 1) >= 1e-3
+        share = {nodes: _ORACLE_NET.infected[list(nodes)].mean() for nodes, _ in exact}
+        mean = sum(p * share[nodes] for (nodes, _), p in exact.items())
+        variance = sum(p * (share[nodes] - mean) ** 2 for (nodes, _), p in exact.items())
+        assert abs(np.mean(naive) - mean) <= 4 * math.sqrt(variance / _ORACLE_RUNS)
