@@ -9,7 +9,8 @@ nodes in the underlying population.  Five estimators are provided:
   probability as proportional to degree.
 * ``ss_estimate``: inverse reweighting by inclusion probabilities under
   successive sampling (draws without replacement, probability proportional
-  to degree) from an estimated population, solved as a fixed point.
+  to degree) from an estimated population, solved as a fixed point (for
+  large populations, the root of one scalar equation).
 * ``sh_estimate``: cross-group recruitment balance combined with harmonic
   mean degrees per group.
 * ``h_estimate``: the same balance step over degree-adjusted means (SH's
@@ -140,11 +141,17 @@ class SsOptions:
     ``method`` is ``auto`` (exact enumeration for populations of at most
     `ENUMERATION_LIMIT` units, otherwise the deterministic large-population
     closed form on the real-valued estimated composition), ``enumerate``, or
-    ``monte_carlo``.  ``monte_carlo`` is the reference path: it reuses one
-    frozen block of ``mc_replications`` x N exponential draws, seeded by
-    ``rng_seed``, across fixed-point iterations, so the iteration is a
-    deterministic map and the tolerance is attainable.  ``mc_replications``
-    and ``rng_seed`` matter only under ``monte_carlo``.
+    ``monte_carlo``.  Under the closed form the fixed point is the root of
+    one equation in the race threshold t, solved by Newton to rounding in at
+    most ``max_iterations`` evaluations; ``tolerance`` does not apply there.
+    ``enumerate`` and ``monte_carlo`` iterate the map over integer
+    compositions for at most ``max_iterations`` passes, until successive
+    probabilities differ by less than ``tolerance``.  ``monte_carlo`` is the
+    reference path: it reuses one frozen block of ``mc_replications`` x N
+    exponential draws, seeded by ``rng_seed``, across fixed-point
+    iterations, so the iteration is a deterministic map and the tolerance is
+    attainable.  ``mc_replications`` and ``rng_seed`` matter only under
+    ``monte_carlo``.
     """
 
     tolerance: float = 1e-6
@@ -348,48 +355,105 @@ def _integer_composition(shares: np.ndarray, total: int) -> np.ndarray:
     return floors
 
 
+def _not_converged(degrees: np.ndarray, pi: np.ndarray, iterations: int) -> EstimationError:
+    return EstimationError(
+        f"successive-sampling fixed point did not converge in {iterations} iterations",
+        code=SS_NONCONVERGENCE,
+        partial=dict(zip(degrees.tolist(), pi.tolist())),
+    )
+
+
+def _asymptotic_fixed_point(
+    degrees: np.ndarray, sample_counts: np.ndarray, population_size: int, max_steps: int
+) -> np.ndarray:
+    """Fixed point of the estimated composition under `_asymptotic_inclusion`.
+
+    With ``c_k`` sampled units of degree ``d_k``, ``n = sum_k c_k`` and N
+    units in all, the map's fixed point puts ``N_k`` in proportion to
+    ``c_k / pi_k`` with ``sum_k N_k pi_k = n``, so it is the root of the
+    single equation ``S(t) = sum_k c_k / (1 - exp(-d_k t)) = N``.  S falls
+    from +inf to n and is convex, so the root is unique for n < N;
+    ``1 - exp(-x) < x`` puts ``t0 = sum_k (c_k / d_k) / N`` left of it, and
+    Newton from there rises monotonically.  It stops once ``S(t) <= N`` or a
+    step no longer moves t, within a dozen steps for n / N anywhere in
+    [1e-7, 1).  Iterating the map itself converges only linearly, and on
+    some heavy-tailed compositions at sampling fractions around one half it
+    settles into a 2-cycle around this root instead.
+    """
+    neg_rate = -degrees.astype(np.float64)
+    count_rate = sample_counts * degrees
+    target = float(population_size)
+    t = float(sample_counts @ (1.0 / degrees)) / target
+    lost = np.empty(degrees.size)  # expm1(-d t), which is -pi
+    for _ in range(max_steps):
+        np.expm1(np.multiply(neg_rate, t, out=lost), out=lost)
+        inverse = 1.0 / lost
+        excess = -float(sample_counts @ inverse) - target
+        if excess <= 0.0:
+            break
+        # -S'(t) = sum_k c_k d_k exp(-d_k t) / pi_k^2, and exp(-x) / pi^2 is
+        # 1 / pi^2 - 1 / pi.  It is positive until every 1 / pi_k rounds to
+        # 1, and then S(t) = n < N has already stopped the loop.
+        advanced = t + excess / float(count_rate @ (inverse * (inverse + 1.0)))
+        if advanced <= t:
+            break
+        t = advanced
+    else:
+        raise _not_converged(degrees, -lost, max_steps)
+    return -lost
+
+
 def _ss_fixed_point(
     degrees: np.ndarray, sample_counts: np.ndarray, population_size: int, draws: int,
     options: SsOptions,
 ) -> np.ndarray:
-    """Inclusion probability of each sorted distinct (positive) sample degree."""
+    """Inclusion probability of each sorted distinct (positive) sample degree.
+
+    ``sample_counts`` counts the sample's units of each degree and sums to
+    ``draws``.  The fixed point re-estimates the population composition in
+    proportion to ``sample_counts / pi`` and recomputes ``pi`` on it.  The
+    large-population map is solved as one root in t by
+    `_asymptotic_fixed_point`; the integer-composition methods iterate the
+    map until successive probabilities differ by less than
+    ``options.tolerance`` or a composition repeats.  Either raises
+    ``ss_nonconvergence``, with the last probabilities as ``partial``, past
+    ``options.max_iterations``.
+    """
     sample_counts = sample_counts.astype(np.float64)
     if draws > population_size:
         raise ConfigError(
             f"sample size {draws} exceeds population size {population_size}"
         )
     inclusion = _inclusion_map(options, population_size)
+    if inclusion is _asymptotic_inclusion:
+        if draws == population_size:  # census: every unit is drawn
+            return np.ones(degrees.size)
+        return _asymptotic_fixed_point(
+            degrees, sample_counts, population_size, options.max_iterations
+        )
     estimated = sample_counts * (population_size / sample_counts.sum())
     previous: Optional[np.ndarray] = None
     pi = np.ones_like(sample_counts)
     seen: dict[tuple[int, ...], int] = {}
     history: list[np.ndarray] = []
     for _ in range(options.max_iterations):
-        if inclusion is _asymptotic_inclusion:  # takes the real-valued composition
-            pi = inclusion(degrees, estimated, draws)
-        else:
-            composition = _integer_composition(estimated, population_size)
-            key = tuple(composition.tolist())
-            if key in seen:
-                # The iteration walks a finite set of integer compositions, so
-                # a revisit means it entered a cycle (often two roundings that
-                # straddle the continuous fixed point).  The cycle average is
-                # the limit of the damped iteration; return it.
-                return np.mean(history[seen[key] :], axis=0)
-            pi = inclusion(degrees, composition, draws)
-            seen[key] = len(history)
-            history.append(pi)
+        composition = _integer_composition(estimated, population_size)
+        key = tuple(composition.tolist())
+        if key in seen:
+            # The iteration walks a finite set of integer compositions, so
+            # a revisit means it entered a cycle (often two roundings that
+            # straddle the continuous fixed point).  The cycle average is
+            # the limit of the damped iteration; return it.
+            return np.mean(history[seen[key] :], axis=0)
+        pi = inclusion(degrees, composition, draws)
+        seen[key] = len(history)
+        history.append(pi)
         if previous is not None and float(np.max(np.abs(pi - previous))) < options.tolerance:
             return pi
         previous = pi
         raw = sample_counts / pi
         estimated = raw * (population_size / raw.sum())
-    raise EstimationError(
-        f"successive-sampling fixed point did not converge in "
-        f"{options.max_iterations} iterations",
-        code=SS_NONCONVERGENCE,
-        partial=dict(zip(degrees.tolist(), pi.tolist())),
-    )
+    raise _not_converged(degrees, pi, options.max_iterations)
 
 
 def ss_estimate(
@@ -400,12 +464,20 @@ def ss_estimate(
     Solves for per-degree inclusion probabilities consistent with drawing
     ``sample.size`` units from a population of ``population_size`` whose
     degree composition is itself re-estimated from the weighted sample, then
-    reweighs respondents by the reciprocal probabilities.
+    reweighs respondents by the reciprocal probabilities.  Above
+    `ENUMERATION_LIMIT` units, ``auto`` finds that fixed point as one root
+    in t (see `_asymptotic_fixed_point`); the other methods iterate to
+    ``options.tolerance``.  Fails with ``ss_nonconvergence`` past
+    ``options.max_iterations``.
     """
     _require_nonempty(sample)
     _require_positive_degrees(sample)
-    degrees, inverse, counts = np.unique(sample.degree, return_inverse=True, return_counts=True)
-    pi = _ss_fixed_point(degrees, counts, population_size, sample.size, options)
+    # ``np.unique(sample.degree, return_inverse=True, return_counts=True)``,
+    # spelled out at half its cost.
+    ordered = np.sort(sample.degree)
+    degrees = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    inverse = np.searchsorted(degrees, sample.degree)
+    pi = _ss_fixed_point(degrees, np.bincount(inverse), population_size, sample.size, options)
     return _inverse_weight_ratio(sample, pi[inverse])
 
 
@@ -624,16 +696,26 @@ def equilibrium_distribution(
         raise ConfigError("transition matrix rows must sum to 1")
     if not tolerance > 0.0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
+    return _stationary(matrix, tolerance)
+
+
+def _stationary(matrix: np.ndarray, tolerance: float = 1e-12) -> tuple[np.ndarray, bool]:
+    """`equilibrium_distribution` of a square row-stochastic float matrix, unchecked."""
     k = matrix.shape[0]
     if k == 1:
         return np.array([1.0]), False
-    deficiency = matrix.T - np.eye(k)
+    # ``P^T - I`` above a row of ones, in one buffer: the normalised
+    # stationary equations.
+    stacked = np.empty((k + 1, k))
+    deficiency = stacked[:k]
+    deficiency[...] = matrix.T
+    deficiency.flat[:: k + 1] -= 1.0
+    stacked[k] = 1.0
     singular_values = np.linalg.svd(deficiency, compute_uv=False)
     # singular values come back sorted descending; a second near-null
     # direction means the stationary distribution is not unique
     cutoff = tolerance * max(1.0, float(singular_values[0]))
     null_dim = int((singular_values < cutoff).sum())
-    stacked = np.vstack([deficiency, np.ones((1, k))])
     rhs = np.zeros(k + 1)
     rhs[-1] = 1.0
     solution, *_ = np.linalg.lstsq(stacked, rhs, rcond=None)
@@ -684,7 +766,8 @@ def _h_components(sample: Sample, mean_cell_size: int) -> tuple[float, bool, boo
     c_iu, c_ui = _cross_group_proportions(sample)
     groups = partition_degree_groups(sample, mean_cell_size)
     matrix, patched = degree_group_transition_matrix(sample, groups)
-    equilibrium, unstable = equilibrium_distribution(matrix)
+    # The matrix is square and row-stochastic by construction.
+    equilibrium, unstable = _stationary(matrix)
     rcd = rcd_values(sample, groups, equilibrium)
     return _balanced_share(sample, rcd, c_iu, c_ui), patched, unstable
 

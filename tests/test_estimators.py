@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from rdslab import (
 from rdslab.estimators import (
     EMPTY_GROUP,
     EMPTY_SAMPLE,
+    ENUMERATION_LIMIT,
     NO_CROSS_GROUP_RECRUITMENTS,
     NO_RECRUITMENT_EVENTS,
     NO_RECRUITMENTS_FROM_GROUP,
@@ -329,6 +331,82 @@ class TestSsEstimate:
         assert gaps[0] <= s.size / population
         # The slack covers the rounding of two estimates in [0, 1].
         assert gaps[1] <= gaps[0] / 50 + 1e-12
+
+
+def _iterated_asymptotic_map(degrees, counts, population, draws, passes=5000):
+    """Limit of the large-population map iterated on the real-valued
+    composition until successive values move by less than 1e-14, or None
+    when it finds none in ``passes`` passes (the map can settle into a
+    2-cycle around its fixed point)."""
+    estimated = counts * (population / counts.sum())
+    previous = None
+    for _ in range(passes):
+        pi = _asymptotic_inclusion(degrees, estimated, draws)
+        if previous is not None and np.max(np.abs(pi - previous)) < 1e-14:
+            return pi
+        previous = pi
+        raw = counts / pi
+        estimated = raw * (population / raw.sum())
+    return None
+
+
+class TestAsymptoticFixedPoint:
+    @given(classes=st.dictionaries(st.integers(1, 60), st.integers(1, 50),
+                                   min_size=1, max_size=20),
+           log_fraction=st.floats(-7.0, 0.0))
+    def test_root_in_t_is_the_limit_of_the_map(self, classes, log_fraction):
+        degrees = np.array(sorted(classes), dtype=np.int64)
+        counts = np.array([classes[d] for d in degrees.tolist()], dtype=np.float64)
+        n = int(counts.sum())
+        # n / N spans [1e-7, 1 - 1/N] with N above the enumeration limit.
+        population = max(ENUMERATION_LIMIT + 1, n + 1, math.ceil(n / 10.0**log_fraction))
+        with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise",
+                                                    over="raise"):
+            warnings.simplefilter("error", RuntimeWarning)
+            # A zero slope would raise ZeroDivisionError: Newton divides by a float.
+            pi = _ss_fixed_point(degrees, counts, population, n, SsOptions())
+        assert abs(math.fsum(counts / pi) - population) <= 1e-12 * population
+        assert ((pi > 0.0) & (pi <= 1.0)).all()
+        assert (np.diff(pi) >= 0.0).all()
+        # A fixed point of the map on the composition it implies ...
+        implied = counts / pi * (population / math.fsum(counts / pi))
+        assert np.abs(_asymptotic_inclusion(degrees, implied, n) - pi).max() <= 1e-10
+        # ... and the map's limit wherever iterating it converges.
+        limit = _iterated_asymptotic_map(degrees, counts, population, n)
+        if limit is not None:
+            assert np.abs(limit - pi).max() <= 1e-10
+
+    def test_root_found_where_the_map_cycles(self):
+        degrees = np.array([1, 16, 18, 25, 26, 31, 38, 43, 52, 58])
+        counts = np.array([14, 7, 2, 4, 6, 17, 6, 16, 6, 13], dtype=np.float64)
+        assert _iterated_asymptotic_map(degrees, counts, 178, 91) is None
+        pi = _ss_fixed_point(degrees, counts, 178, 91, SsOptions())
+        assert math.fsum(counts / pi) == pytest.approx(178, rel=1e-12)
+        implied = counts / pi * (178 / math.fsum(counts / pi))
+        assert np.abs(_asymptotic_inclusion(degrees, implied, 91) - pi).max() <= 1e-10
+
+    def test_tolerance_unused_and_step_cap_kept(self):
+        net = generate_network(NetworkSpec(differential_activity=1.8, rng_seed=4))
+        s = run_rds(net, SamplingConfig(n_seeds=10, seed_rule=SeedRule.pps_degree(),
+                                        target_n=200, rng_seed=4))
+        loose, tight = (ss_estimate(s, 1000, SsOptions(tolerance=tol)) for tol in (1e-3, 1e-9))
+        assert loose == tight
+        with pytest.raises(EstimationError) as info:
+            ss_estimate(s, 1000, SsOptions(max_iterations=1))
+        assert info.value.code == SS_NONCONVERGENCE
+        assert sorted(info.value.partial) == np.unique(s.degree).tolist()
+
+    def test_reported_degree_far_above_the_population(self):
+        # A loaded sample may report any degree; none may cost memory in proportion.
+        s = make_sample([rec(0, 10**15, True), rec(1, 3, False, recruiter=0, wave=1),
+                         rec(2, 3, True, recruiter=0, wave=1)])
+        # pi is 1 at the huge degree, so 1 + 2 / pi_3 = 100 and the two degree-3
+        # respondents weigh 99 / 2 each: (1 + 49.5) / 100.
+        assert ss_estimate(s, 100) == pytest.approx(0.505, abs=1e-12)
+
+    def test_census_is_certain(self):
+        pi = _ss_fixed_point(np.array([2, 5]), np.array([10.0, 10.0]), 20, 20, SsOptions())
+        assert pi.tolist() == [1.0, 1.0]
 
 
 class TestCrossGroupMachinery:
