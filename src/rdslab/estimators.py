@@ -85,6 +85,9 @@ ENUMERATION_MAX_DRAWS = 500
 #: fractions near one need only a few dozen.
 _NEWTON_MAX_STEPS = 200
 
+#: `equilibrium_distribution` counts a singular value under this share of the largest as 0.
+_RANK_CUTOFF = 1e-12
+
 
 # --------------------------------------------------------------------------
 # simple reweighting estimators
@@ -143,18 +146,16 @@ class SsOptions:
     closed form on the real-valued estimated composition), ``enumerate``, or
     ``monte_carlo``.  Under the closed form the fixed point is the root of
     one equation in the race threshold t, solved by Newton to rounding in at
-    most ``max_iterations`` evaluations; ``tolerance`` does not apply there.
-    ``enumerate`` and ``monte_carlo`` iterate the map over integer
-    compositions for at most ``max_iterations`` passes, until successive
-    probabilities differ by less than ``tolerance``.  ``monte_carlo`` is the
-    reference path: it reuses one frozen block of ``mc_replications`` x N
-    exponential draws, seeded by ``rng_seed``, across fixed-point
-    iterations, so the iteration is a deterministic map and the tolerance is
-    attainable.  ``mc_replications`` and ``rng_seed`` matter only under
-    ``monte_carlo``.
+    most ``max_iterations`` evaluations.  ``enumerate`` and ``monte_carlo``
+    iterate the map over integer compositions for at most
+    ``max_iterations`` passes, until a composition repeats.  ``monte_carlo``
+    is the reference path: it reuses one frozen block of ``mc_replications``
+    x N exponential draws, seeded by ``rng_seed``, across fixed-point
+    iterations, so the iteration is a deterministic map over a finite set
+    and must revisit a composition.  ``mc_replications`` and ``rng_seed``
+    matter only under ``monte_carlo``.
     """
 
-    tolerance: float = 1e-6
     max_iterations: int = 50
     mc_replications: int = 2000
     rng_seed: int = 0
@@ -163,8 +164,6 @@ class SsOptions:
     def __post_init__(self) -> None:
         if self.method not in ("auto", "enumerate", "monte_carlo"):
             raise ConfigError(f"unknown ss method {self.method!r}")
-        if not self.tolerance > 0:
-            raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mc_replications < 1:
@@ -414,8 +413,8 @@ def _ss_fixed_point(
     proportion to ``sample_counts / pi`` and recomputes ``pi`` on it.  The
     large-population map is solved as one root in t by
     `_asymptotic_fixed_point`; the integer-composition methods iterate the
-    map until successive probabilities differ by less than
-    ``options.tolerance`` or a composition repeats.  Either raises
+    map until a composition repeats and return the average of ``pi`` over
+    the cycle it closes (one pass long at a fixed point).  Either raises
     ``ss_nonconvergence``, with the last probabilities as ``partial``, past
     ``options.max_iterations``.
     """
@@ -432,7 +431,6 @@ def _ss_fixed_point(
             degrees, sample_counts, population_size, options.max_iterations
         )
     estimated = sample_counts * (population_size / sample_counts.sum())
-    previous: Optional[np.ndarray] = None
     pi = np.ones_like(sample_counts)
     seen: dict[tuple[int, ...], int] = {}
     history: list[np.ndarray] = []
@@ -448,9 +446,6 @@ def _ss_fixed_point(
         pi = inclusion(degrees, composition, draws)
         seen[key] = len(history)
         history.append(pi)
-        if previous is not None and float(np.max(np.abs(pi - previous))) < options.tolerance:
-            return pi
-        previous = pi
         raw = sample_counts / pi
         estimated = raw * (population_size / raw.sum())
     raise _not_converged(degrees, pi, options.max_iterations)
@@ -466,8 +461,8 @@ def ss_estimate(
     degree composition is itself re-estimated from the weighted sample, then
     reweighs respondents by the reciprocal probabilities.  Above
     `ENUMERATION_LIMIT` units, ``auto`` finds that fixed point as one root
-    in t (see `_asymptotic_fixed_point`); the other methods iterate to
-    ``options.tolerance``.  Fails with ``ss_nonconvergence`` past
+    in t (see `_asymptotic_fixed_point`); the other methods iterate until a
+    composition repeats.  Fails with ``ss_nonconvergence`` past
     ``options.max_iterations``.
     """
     _require_nonempty(sample)
@@ -676,30 +671,27 @@ def degree_group_transition_matrix(
     return matrix, bool(silent.any())
 
 
-def equilibrium_distribution(
-    matrix: np.ndarray, tolerance: float = 1e-12
-) -> tuple[np.ndarray, bool]:
+def equilibrium_distribution(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
     """Stationary distribution of a row-stochastic matrix.
 
     Returns the distribution and an instability flag.  The flag is set when
-    the stationary distribution is not unique at the given tolerance
-    (reducible chain) or puts all mass on one group; in either case the
-    returned vector is still a valid stationary point, chosen as the
-    minimum-norm solution.
+    the stationary distribution is not unique (reducible chain) or puts all
+    mass on one group; in either case the returned vector is still a valid
+    stationary point, chosen as the minimum-norm solution.  A non-square
+    matrix, a negative or NaN entry, or a row not summing to 1 is rejected.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ConfigError(f"transition matrix must be square, got shape {matrix.shape}")
-    if (matrix < -1e-12).any():
-        raise ConfigError("transition matrix has negative entries")
-    if np.abs(matrix.sum(axis=1) - 1.0).max() > 1e-9:
+    # Written so that a NaN, which fails every comparison, fails both checks.
+    if not (matrix >= -1e-12).all():
+        raise ConfigError("transition matrix has negative or NaN entries")
+    if not np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-9:
         raise ConfigError("transition matrix rows must sum to 1")
-    if not tolerance > 0.0:
-        raise ConfigError(f"tolerance must be positive, got {tolerance}")
-    return _stationary(matrix, tolerance)
+    return _stationary(matrix)
 
 
-def _stationary(matrix: np.ndarray, tolerance: float = 1e-12) -> tuple[np.ndarray, bool]:
+def _stationary(matrix: np.ndarray) -> tuple[np.ndarray, bool]:
     """`equilibrium_distribution` of a square row-stochastic float matrix, unchecked."""
     k = matrix.shape[0]
     if k == 1:
@@ -714,7 +706,7 @@ def _stationary(matrix: np.ndarray, tolerance: float = 1e-12) -> tuple[np.ndarra
     singular_values = np.linalg.svd(deficiency, compute_uv=False)
     # singular values come back sorted descending; a second near-null
     # direction means the stationary distribution is not unique
-    cutoff = tolerance * max(1.0, float(singular_values[0]))
+    cutoff = _RANK_CUTOFF * max(1.0, float(singular_values[0]))
     null_dim = int((singular_values < cutoff).sum())
     rhs = np.zeros(k + 1)
     rhs[-1] = 1.0

@@ -1,10 +1,12 @@
 """Exact outcome distribution of `run_rds` on a tiny network, for oracle tests.
 
-Written from the process that the `rdslab.sampler` docstring specifies, not
-from `run_rds`: seeds are drawn with probability proportional to degree,
-respondents spend their coupons in enrolment order, and a coupon resolves
-in the docstring's five steps.  Only `recruitment_weight` and `_degree_ramp`
-are taken from the sampler, as the definitions of a weight and a ramp.
+Written from the process that the `rdslab.sampler` and `SeedRule` docstrings
+specify, not from `run_rds`: seeds are drawn under the configured seed rule,
+respondents spend their coupons in enrolment order, a coupon resolves in the
+docstring's five steps, and a run whose coupons are all spent draws one
+reseed from the never-offered nodes if reseeding is on, else ends short.
+Only `recruitment_weight` and `_degree_ramp` are taken from the sampler, as
+the definitions of a weight and a ramp.
 Every branch is enumerated with its exact probability, so the cost grows
 with the number of paths; keep networks to a handful of nodes.
 
@@ -24,13 +26,8 @@ Outcome = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 def referral_outcomes(net: Network, config: SamplingConfig) -> dict[Outcome, float]:
-    """Every outcome of ``run_rds(net, config)`` with its exact probability.
-
-    Only the ``pps_degree`` seed rule is enumerated.
-    """
-    b = config.behavior
-    if config.seed_rule.variant != "pps_degree":
-        raise NotImplementedError(f"seed rule {config.seed_rule.variant}")
+    """Every outcome of ``run_rds(net, config)`` with its exact probability."""
+    b, rule = config.behavior, config.seed_rule
     degree = net.degrees.tolist()
     infected = net.infected.tolist()
     neighbors = net.neighbors
@@ -43,11 +40,27 @@ def referral_outcomes(net: Network, config: SamplingConfig) -> dict[Outcome, flo
         group = b.response_prob_infected if infected[v] else b.response_prob_uninfected
         return group * _degree_ramp(degree[v], *b.response_degree_ramp)
 
-    def seed_picks(touched) -> list[tuple[int, float]]:
-        """Each node a seed pick may take, with its probability: degree over the degrees left."""
-        eligible = [v for v in range(net.n_nodes) if v not in touched and degree[v] > 0]
-        total = sum(degree[v] for v in eligible)
-        return [(v, degree[v] / total) for v in eligible]
+    def seed_picks(touched, drawn=()) -> list[tuple[int, float]]:
+        """Each node a seed pick may take, with its probability.
+
+        The pool is built from the nodes outside ``touched``: isolates are
+        never in it, nor under ``infected_only_pps`` uninfected nodes, and
+        under a uniform-k rule only the k lowest (highest) in degree, ties
+        broken by id, are.  The pick is without replacement from the pool,
+        ``drawn`` holding the seeds this draw has taken: in proportion to
+        degree under a PPS rule, uniform under a uniform-k rule.
+        """
+        pool = [v for v in range(net.n_nodes) if v not in touched and degree[v] > 0]
+        if rule.variant == "infected_only_pps":
+            pool = [v for v in pool if infected[v]]
+        uniform = rule.variant in ("uniform_lowest_k", "uniform_highest_k")
+        if uniform:
+            sign = 1 if rule.variant == "uniform_lowest_k" else -1
+            pool = sorted(pool, key=lambda v: (sign * degree[v], v))[: rule.k]
+        left = [v for v in pool if v not in drawn]
+        weight = [1 if uniform else degree[v] for v in left]
+        total = sum(weight)
+        return [(v, w / total) for v, w in zip(left, weight)]
 
     outcomes: dict[Outcome, float] = defaultdict(float)
 
@@ -55,7 +68,7 @@ def referral_outcomes(net: Network, config: SamplingConfig) -> dict[Outcome, flo
         if len(nodes) == config.n_seeds:
             coupons(prob, nodes, (-1,) * len(nodes), frozenset(), 0, config.coupons_per_respondent)
             return
-        for v, p in seed_picks(nodes):
+        for v, p in seed_picks(frozenset(), nodes):
             seeds(prob * p, nodes + (v,))
 
     def coupons(prob, nodes, recruiters, refused, position, left):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -34,7 +35,7 @@ from rdslab import (
     save_network,
     save_sample,
 )
-from rdslab.cli import dispatch, parse_config, read_config
+from rdslab.cli import RunConfig, dispatch, parse_config, read_config
 from rdslab.harness import REPLICATION_COLUMNS
 
 BASE_YAML = """\
@@ -71,6 +72,12 @@ class TestParseConfig:
         assert cfg.replications == 300
         assert cfg.base_seed == 0
 
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"^```yaml\n(.*?)^```$", readme, re.M | re.S).group(1)
+        (tmp_path / "readme.yaml").write_text(block)
+        assert read_config(str(tmp_path / "readme.yaml")) == RunConfig()
+
     def test_full_document(self):
         cfg = parse_config({
             "label": "skewed",
@@ -97,7 +104,7 @@ class TestParseConfig:
             "estimation": {
                 "population_size": 500,
                 "mean_cell_size": 10,
-                "ss": {"tolerance": 1e-8, "mc_replications": 500, "method": "monte_carlo"},
+                "ss": {"mc_replications": 500, "method": "monte_carlo"},
             },
             "experiment": {"replications": 25, "base_seed": 77},
         })
@@ -155,20 +162,18 @@ class TestParseConfig:
 
     def test_exact_scalars_accepted(self):
         cfg = parse_config({
-            "network": {"n_nodes": 1000.0, "mean_degree": 7},
+            # YAML 1.1 reads an exponent without a dot as text
+            "network": {"n_nodes": 1000.0, "mean_degree": 7, "homophily_ratio": "4e0"},
             "sampling": {
                 "seed_rule": {"k": None},
                 "behavior": {"similar_degree_width": None, "candidate_degree_ramp": None},
             },
-            "estimation": {
-                "population_size": None,
-                "ss": {"tolerance": "1e-6"},  # YAML 1.1 reads this as text
-            },
+            "estimation": {"population_size": None},
         })
         assert cfg.network.n_nodes == 1000
         assert isinstance(cfg.network.n_nodes, int)
         assert cfg.network.mean_degree == 7.0
-        assert cfg.ss_options.tolerance == 1e-6
+        assert cfg.network.homophily_ratio == 4.0
         assert cfg.sampling == SamplingConfig()
         assert cfg.population_size is None
 
@@ -266,6 +271,18 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "config"
         assert "network.n_nodes" in payload["message"]
+
+    def test_removed_ss_tolerance_is_one_json_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(BASE_YAML.replace(
+            "  population_size: 300\n", "  population_size: 300\n  ss: {tolerance: 1.0e-6}\n"))
+        assert dispatch(["experiment", "--config", str(cfg),
+                         "--out", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "config"
+        assert "unknown config key estimation.ss.tolerance" in payload["message"]
 
     def test_bad_network_token_is_one_json_line(self, tmp_path, capsys):
         net = tmp_path / "net.txt"

@@ -248,8 +248,6 @@ class TestInclusionProbabilities:
     @pytest.mark.parametrize(
         "name,value,message",
         [
-            ("tolerance", 0.0, "tolerance must be > 0"),
-            ("tolerance", float("nan"), "tolerance must be > 0"),
             ("max_iterations", 0, "max_iterations must be >= 1"),
             ("mc_replications", 0, "mc_replications must be >= 1"),
             ("rng_seed", -1, "rng_seed must be >= 0"),
@@ -296,11 +294,23 @@ class TestSsEstimate:
     def test_nonconvergence_error_carries_partial(self, golden):
         # auto on 50 units runs the closed form
         for method, population in (("enumerate", 9), ("monte_carlo", 9), ("auto", 50)):
-            opts = SsOptions(method=method, max_iterations=1, tolerance=1e-15)
+            opts = SsOptions(method=method, max_iterations=1)
             with pytest.raises(EstimationError) as info:
                 ss_estimate(golden, population, opts)
             assert info.value.code == SS_NONCONVERGENCE
             assert isinstance(info.value.partial, dict)
+
+    def test_discrete_cycle_returns_its_average(self):
+        # One unit each of degrees 1 and 2, N = 4: the rounding alternates
+        # between {1: 2, 2: 2} and {1: 3, 2: 1}, so the fixed point is the
+        # mean of those two passes, bit for bit.
+        opts = SsOptions(method="enumerate")
+        passes = [ss_probabilities(c, 2, opts) for c in ({1: 2, 2: 2}, {1: 3, 2: 1})]
+        expected = [(passes[0][d] + passes[1][d]) / 2 for d in (1, 2)]
+        assert expected == pytest.approx([0.4, 2 / 3], abs=1e-15)
+        for options in (opts, SsOptions()):  # auto enumerates at N <= 12
+            pi = _ss_fixed_point(np.array([1, 2]), np.array([1, 1]), 4, 2, options)
+            assert pi.tolist() == expected
 
     def test_population_smaller_than_sample_rejected(self, golden):
         with pytest.raises(ConfigError):
@@ -389,8 +399,6 @@ class TestAsymptoticFixedPoint:
         net = generate_network(NetworkSpec(differential_activity=1.8, rng_seed=4))
         s = run_rds(net, SamplingConfig(n_seeds=10, seed_rule=SeedRule.pps_degree(),
                                         target_n=200, rng_seed=4))
-        loose, tight = (ss_estimate(s, 1000, SsOptions(tolerance=tol)) for tol in (1e-3, 1e-9))
-        assert loose == tight
         with pytest.raises(EstimationError) as info:
             ss_estimate(s, 1000, SsOptions(max_iterations=1))
         assert info.value.code == SS_NONCONVERGENCE
@@ -605,9 +613,15 @@ class TestTransitionAndEquilibrium:
             assert dist.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(dist @ matrix - dist)) < 1e-10
 
-    def test_equilibrium_tolerance_validated(self):
-        with pytest.raises(ConfigError):
-            equilibrium_distribution(np.eye(2), tolerance=0.0)
+    @pytest.mark.parametrize("matrix,message", [
+        (np.full((2, 3), 1 / 3), "must be square"),
+        (np.array([[1.5, -0.5], [0.5, 0.5]]), "negative or NaN"),
+        (np.array([[0.5, 0.6], [0.5, 0.5]]), "rows must sum to 1"),
+        (np.array([[np.nan, 0.5], [0.5, 0.5]]), "negative or NaN"),
+    ], ids=["non_square", "negative", "row_sum", "nan"])
+    def test_equilibrium_bad_matrix_rejected(self, matrix, message):
+        with pytest.raises(ConfigError, match=message):
+            equilibrium_distribution(matrix)
 
     def test_chain_bundles_all_pieces(self, golden):
         groups = partition_degree_groups(golden, mean_cell_size=2)
@@ -726,7 +740,7 @@ class TestEstimateAll:
         assert (full.vh, full.ss) == (None, None)
         assert full.failures["vh"] == full.failures["ss"] == ZERO_DEGREE
         assert full.naive == pytest.approx(2 / 3)
-        capped = SsOptions(method="enumerate", max_iterations=1, tolerance=1e-15)
+        capped = SsOptions(method="enumerate", max_iterations=1)
         full = estimate_all(golden, 9, ss_options=capped)
         assert full.ss is None
         assert full.failures == {"ss": SS_NONCONVERGENCE}

@@ -1286,10 +1286,24 @@ class TestRespondentMajorLoopMatchesReference:
 # Seven nodes and ten edges, nodes 0, 1 and 4 infected: small enough to enumerate.
 _ORACLE_NET = Network(np.isin(np.arange(7), [0, 1, 4]), np.array(
     [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6), (0, 6)]))
-_ORACLE_BEHAVIORS = {
-    "identity": BehaviorConfig(),
-    "weighted": BehaviorConfig(pass_prob_infected=0.6, infected_candidate_weight=2.5,
-                               own_group_weight_uninfected=0.5, response_prob_uninfected=0.7),
+_ORACLE_BASE = SamplingConfig(n_seeds=1, coupons_per_respondent=2, target_n=5)
+# Coupons that are often not passed make reseeds, and exhaustion, common.
+_ORACLE_LEAKY = BehaviorConfig(pass_prob_uninfected=0.3, pass_prob_infected=0.5)
+_ORACLE_CASES = {
+    "identity": _ORACLE_BASE,
+    "weighted": dataclasses.replace(_ORACLE_BASE, behavior=BehaviorConfig(
+        pass_prob_infected=0.6, infected_candidate_weight=2.5,
+        own_group_weight_uninfected=0.5, response_prob_uninfected=0.7)),
+    # Only three nodes are infected, so the reseeds run out.
+    "infected_only_pps": dataclasses.replace(
+        _ORACLE_BASE, seed_rule=SeedRule.infected_only_pps(), behavior=_ORACLE_LEAKY),
+    # Every degree but node 5's is 3, so the pools turn on the tie-break by id.
+    "uniform_lowest_k": dataclasses.replace(
+        _ORACLE_BASE, n_seeds=2, seed_rule=SeedRule.uniform_lowest(3), behavior=_ORACLE_LEAKY),
+    "uniform_highest_k": dataclasses.replace(
+        _ORACLE_BASE, n_seeds=2, seed_rule=SeedRule.uniform_highest(3), behavior=_ORACLE_LEAKY),
+    "no_reseed": dataclasses.replace(
+        _ORACLE_BASE, reseed_on_die_out=False, behavior=_ORACLE_LEAKY),
 }
 _ORACLE_RUNS = 20_000
 
@@ -1297,11 +1311,9 @@ _ORACLE_RUNS = 20_000
 class TestExactReferralOracle:
     """`run_rds` against `exact_rds`, written from the process the sampler docstring specifies."""
 
-    @pytest.mark.parametrize("name", sorted(_ORACLE_BEHAVIORS))
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
     def test_outcome_frequencies_match_exact_probabilities(self, name):
-        config = SamplingConfig(n_seeds=1, seed_rule=SeedRule.pps_degree(),
-                                coupons_per_respondent=2, target_n=5,
-                                behavior=_ORACLE_BEHAVIORS[name])
+        config = _ORACLE_CASES[name]
         exact = referral_outcomes(_ORACLE_NET, config)
         assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
         counts, naive = Counter(), []
