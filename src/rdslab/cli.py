@@ -54,6 +54,12 @@ class RunConfig(Condition):
     label: str = "experiment"
     population_size: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.population_size is not None and self.population_size < 1:
+            raise ConfigError(f"estimation.population_size (--pop-size) must be >= 1, "
+                              f"got {self.population_size}")
+
 
 # The YAML sections that hold RunConfig's flat fields: section -> {key: field}.
 _FLAT_SECTIONS = {
@@ -254,12 +260,15 @@ def _cmd_estimate(args) -> int:
         mean_cell_size=args.mean_cell_size,
         ss_options=_with_flags(config.ss_options, rng_seed=args.seed),
     )
-    _echo_config(config)
-    sample = load_sample(args.sample)
     if config.population_size is None:
         raise ConfigError(
             "population size required: pass --pop-size or set estimation.population_size"
         )
+    sample = load_sample(args.sample)
+    if config.population_size < sample.size:
+        raise ConfigError(f"estimation.population_size (--pop-size) {config.population_size} "
+                          f"is smaller than the sample's {sample.size} respondents")
+    _echo_config(config)
     estimates = estimate_all(
         sample,
         population_size=config.population_size,

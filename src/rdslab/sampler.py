@@ -71,7 +71,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError, SamplingError, as_flag, as_int, read_text
-from .netgen import Network
+from .netgen import MAX_NODES, Network
 
 __all__ = [
     "SeedRule",
@@ -158,6 +158,11 @@ class BehaviorConfig:
       candidate's degree: low up to degree 5, high above degree 10, linear
       in between.
 
+    Each weight must be finite and >= 0, and their products must neither
+    round to 0 nor overflow: a config whose positive factors can multiply to
+    0, or whose largest weight times `MAX_NODES` overflows, is rejected
+    (`_check_weight_products`).
+
     Coupon use and response (probabilities in [0, 1]):
 
     * ``pass_prob_*``: chance a holder redeems a coupon at all, keyed by the
@@ -199,6 +204,7 @@ class BehaviorConfig:
                 "candidate_degree_ramp values must be finite and >= 0, "
                 f"got {self.candidate_degree_ramp}"
             )
+        self._check_weight_products()
         for name in ("pass_prob_uninfected", "pass_prob_infected",
                      "response_prob_uninfected", "response_prob_infected"):
             value = getattr(self, name)
@@ -208,6 +214,45 @@ class BehaviorConfig:
             lo, hi = getattr(self, name)
             if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
                 raise ConfigError(f"{name} values must be in [0, 1], got {getattr(self, name)}")
+
+    def _check_weight_products(self) -> None:
+        """Reject weights whose products round to 0 or whose running sums overflow.
+
+        A candidate's weight multiplies, in `recruitment_weight`'s order, the
+        group factor of a (holder group, candidate group) pair, a kernel
+        between `_kernel` at the widest gap and 1, and a ramp value.  Rounding
+        is monotone, so the extremes bound every product: of positive factors
+        the least must not round to 0, which no pick could reach, and the
+        largest times `MAX_NODES`, a bound on a holder's running sum, must be
+        finite.  A ramp with a positive end is positive between its ends,
+        where its interpolation must not round to 0 either.
+        """
+        lo, hi = self.candidate_degree_ramp or (1.0, 1.0)
+        ramp = [_degree_ramp(d, lo, hi) for d in range(_RAMP_LOW_DEGREE, _RAMP_HIGH_DEGREE + 2)]
+        if max(lo, hi) > 0 and min(ramp[1:-2]) <= 0:
+            raise ConfigError(f"candidate_degree_ramp {self.candidate_degree_ramp} rounds to 0 "
+                              "between its ends")
+        ramp = [r for r in ramp if r > 0]
+        if not ramp:  # every weight is 0
+            return
+        kernel = _kernel(MAX_NODES, self.similar_degree_width or math.inf)
+        own = {False: "own_group_weight_uninfected", True: "own_group_weight_infected"}
+        for r_inf in (False, True):
+            for c_inf in (False, True):
+                names = [own[r_inf]] * (r_inf == c_inf) + ["infected_candidate_weight"] * c_inf
+                if any(getattr(self, name) == 0 for name in names):
+                    continue
+                group = _group_factor(self, r_inf, c_inf)
+                least, largest = group * kernel * min(ramp), group * max(ramp)
+                if not least > 0:
+                    problem = f"can multiply to {least}"
+                elif not math.isfinite(largest * MAX_NODES):
+                    problem = f"can multiply to {largest}, which times MAX_NODES overflows"
+                else:
+                    continue
+                names += ["similar_degree_width"] * (kernel != 1.0) + [
+                    "candidate_degree_ramp"] * (self.candidate_degree_ramp is not None)
+                raise ConfigError(f"recruitment weight factors {', '.join(names)} {problem}")
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,15 @@ with the number of paths; keep networks to a handful of nodes.
 
 An outcome is the node order of a sample and each respondent's recruiter
 position (-1 for a seed or reseed), as `Sample.node_id` and
-`Sample.recruiter_pos` give them.
+`Sample.recruiter_pos` give them; `outcome_sample` builds its `Sample`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 
-from rdslab import Network, SamplingConfig, recruitment_weight
+from rdslab import EventCounts, Network, RespondentRecord, Sample, SamplingConfig
+from rdslab import recruitment_weight
 from rdslab.sampler import _degree_ramp
 
 Outcome = tuple[tuple[int, ...], tuple[int, ...]]
@@ -120,3 +121,20 @@ def referral_outcomes(net: Network, config: SamplingConfig) -> dict[Outcome, flo
 
     seeds(1.0, ())
     return dict(outcomes)
+
+
+def outcome_sample(net: Network, outcome: Outcome, n_seeds: int) -> Sample:
+    """The respondents of ``outcome`` as a `Sample`, without event tallies.
+
+    A recruit's wave is its recruiter's plus one, and a recruiter-less
+    respondent after the first ``n_seeds`` is a reseed.
+    """
+    nodes, recruiters = outcome
+    waves: list[int] = []
+    records = []
+    for i, (node, at) in enumerate(zip(nodes, recruiters)):
+        waves.append(0 if at < 0 else waves[at] + 1)
+        records.append(RespondentRecord(node, int(net.degrees[node]), bool(net.infected[node]),
+                                        None if at < 0 else nodes[at], waves[i],
+                                        at < 0 and i >= n_seeds))
+    return Sample(records, EventCounts())

@@ -259,6 +259,19 @@ class TestExitCodes:
                   "--out", str(smp)])
         assert dispatch(["estimate", "--sample", str(smp)]) == 1
 
+    @pytest.mark.parametrize("pop_size", ["-5", "0", "100"])
+    def test_bad_population_size_is_one_json_line(self, tmp_path, capsys, pop_size):
+        # Two hundred seeds, so 100 is smaller than the sample.
+        smp = tmp_path / "s.txt"
+        smp.write_text("order node_id degree infected recruiter_id wave reseed\n"
+                       + "".join(f"{i} {i} 1 0 -1 0 0\n" for i in range(200)))
+        assert dispatch(["estimate", "--sample", str(smp), "--pop-size", pop_size]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        payload = json.loads(err[0])
+        assert payload["error"] == "config"
+        assert "estimation.population_size (--pop-size)" in payload["message"]
+
     def test_missing_input_file_is_two(self, tmp_path):
         assert dispatch(["sample", "--network", str(tmp_path / "nope.txt"),
                          "--out", str(tmp_path / "y.txt")]) == 2

@@ -755,6 +755,21 @@ class TestEstimateAll:
             assert value is not None
             assert 0.0 <= value <= 1.0
 
+    def test_estimates_take_no_svd(self, monkeypatch):
+        # Reducibility is `equilibrium_distribution`'s to report; h solves for
+        # the equilibrium vector alone, so no estimate needs an SVD.
+        samples = [run_rds(generate_network(NetworkSpec(rng_seed=seed)),
+                           SamplingConfig(target_n=200, rng_seed=seed)) for seed in (21, 22, 23)]
+
+        def refuse(*args, **kwargs):
+            raise np.linalg.LinAlgError("svd called")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        for s in samples:
+            full = estimate_all(s, 1000)
+            assert full.failures == {}
+            assert all(0.0 <= full.value_of(name) <= 1.0 for name in ESTIMATOR_NAMES)
+
     def test_zero_rcd_sum_is_coded(self):
         # The equilibrium puts no mass on the degree group of the one
         # infected respondent, so the infected RCDs sum to 0.

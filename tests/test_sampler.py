@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -13,11 +14,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats
 
 from rdslab import (
+    ESTIMATOR_NAMES,
     BehaviorConfig,
     Condition,
     ConfigError,
@@ -31,10 +33,10 @@ from rdslab import (
     SeedRule,
     SsOptions,
     csv_lines,
+    estimate_all,
     export_csv,
     generate_network,
     load_sample,
-    naive_estimate,
     recruitment_weight,
     run_condition,
     run_rds,
@@ -49,7 +51,7 @@ from rdslab.sampler import (
     _REFUSED, _SAMPLED, _UNTOUCHED, _degree_ramp, _draw_seeds, _Tables, _uniforms,
 )
 
-from exact_rds import referral_outcomes
+from exact_rds import outcome_sample, referral_outcomes
 
 
 def star_network(leaves: int = 9) -> Network:
@@ -347,27 +349,103 @@ class TestRecruitmentWeight:
                     BehaviorConfig(**{name: ramp})
 
 
+def _star_picks(infected: bool, behavior: BehaviorConfig, runs: int = 3000) -> list[int]:
+    """How often each of a 3-leaf star's leaves is the hub's one recruit, over ``runs`` seeds."""
+    net = Network(np.full(4, infected), np.array([[0, 1], [0, 2], [0, 3]]))
+    counts = [0] * 4
+    for seed in range(runs):
+        s = run_rds(net, SamplingConfig(n_seeds=1, seed_rule=SeedRule.uniform_highest(1),
+                                        coupons_per_respondent=1, target_n=2,
+                                        behavior=behavior, rng_seed=seed))
+        if s.size == 2:
+            counts[int(s.node_id[1])] += 1
+    return counts[1:]
+
+
+def _largest_accepted(behavior_of) -> float:
+    """The largest weight ``w`` with ``behavior_of(w)`` accepted, bisected over the doubles."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (1.0, math.inf))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            behavior_of(float(np.int64(mid).view(np.float64)))
+            lo = mid
+        except ConfigError:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+class TestWeightProducts:
+    """Weights whose products round to 0 or whose running sums overflow are refused."""
+
+    # Each of these used to skew or stop the picks on the 3-leaf star: the
+    # last leaf always, or no recruit at all.
+    @pytest.mark.parametrize("fields,message", [
+        ({"own_group_weight_uninfected": 1e308}, "times MAX_NODES overflows"),
+        ({"own_group_weight_infected": 1e200, "infected_candidate_weight": 1e200},
+         "times MAX_NODES overflows"),
+        ({"own_group_weight_infected": 1e-200, "infected_candidate_weight": 1e-200},
+         "can multiply to 0.0"),
+    ], ids=["overflow_sum", "overflow_product", "underflow"])
+    def test_star_configs_rejected(self, fields, message):
+        with pytest.raises(ConfigError, match=message) as info:
+            BehaviorConfig(**fields)
+        assert all(name in str(info.value) for name in fields)
+
+    def test_tiny_factors(self):
+        # One subnormal factor stays valid; the kernel's floor of 0.05 takes it to 0.
+        BehaviorConfig(candidate_degree_ramp=(5e-324, 5e-324))
+        BehaviorConfig(candidate_degree_ramp=(5e-324, 5e-324), similar_degree_width=math.inf)
+        with pytest.raises(ConfigError, match="similar_degree_width, candidate_degree_ramp"):
+            BehaviorConfig(candidate_degree_ramp=(5e-324, 5e-324), similar_degree_width=3.0)
+        # From 0 to one subnormal, degree 6's ramp value of 5e-324 / 5 rounds to 0.
+        with pytest.raises(ConfigError, match="rounds to 0 between its ends"):
+            BehaviorConfig(candidate_degree_ramp=(0.0, 5e-324))
+        # A zero factor is no product: the weight is meant to be 0.
+        BehaviorConfig(own_group_weight_infected=0.0, infected_candidate_weight=1e-300,
+                       similar_degree_width=2.0)
+
+    @pytest.mark.parametrize("infected,names", [
+        (False, ["own_group_weight_uninfected"]),
+        (True, ["own_group_weight_infected", "infected_candidate_weight"]),
+    ], ids=["uninfected", "infected"])
+    def test_largest_accepted_weights_pick_uniformly(self, infected, names):
+        def behavior(w: float) -> BehaviorConfig:
+            return BehaviorConfig(**dict.fromkeys(names, w))
+
+        w = _largest_accepted(behavior)
+        assert w > 1e150
+        counts = _star_picks(infected, behavior(w))
+        assert sum(counts) == 3000
+        assert stats.chisquare(counts).pvalue >= 1e-3
+
+
 _weights = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 3.7]) | st.floats(0.0, 10.0)
 _probs = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 
 @st.composite
 def behaviors(draw) -> BehaviorConfig:
-    return BehaviorConfig(
-        own_group_weight_uninfected=draw(_weights),
-        own_group_weight_infected=draw(_weights),
-        infected_candidate_weight=draw(_weights),
-        similar_degree_width=draw(
-            st.none() | st.sampled_from([float("inf"), 1e-3, 4.0]) | st.floats(0.01, 50.0)
-        ),
-        candidate_degree_ramp=draw(st.none() | st.tuples(_weights, _weights)),
-        pass_prob_uninfected=draw(_probs),
-        pass_prob_infected=draw(_probs),
-        pass_degree_ramp=draw(st.tuples(_probs, _probs)),
-        response_prob_uninfected=draw(_probs),
-        response_prob_infected=draw(_probs),
-        response_degree_ramp=draw(st.tuples(_probs, _probs)),
-    )
+    # Weights that can multiply to 0 or overflow, such as two tiny ones, make
+    # a rejected config (`TestWeightProducts`); such draws are skipped.
+    try:
+        return BehaviorConfig(
+            own_group_weight_uninfected=draw(_weights),
+            own_group_weight_infected=draw(_weights),
+            infected_candidate_weight=draw(_weights),
+            similar_degree_width=draw(
+                st.none() | st.sampled_from([float("inf"), 1e-3, 4.0]) | st.floats(0.01, 50.0)
+            ),
+            candidate_degree_ramp=draw(st.none() | st.tuples(_weights, _weights)),
+            pass_prob_uninfected=draw(_probs),
+            pass_prob_infected=draw(_probs),
+            pass_degree_ramp=draw(st.tuples(_probs, _probs)),
+            response_prob_uninfected=draw(_probs),
+            response_prob_infected=draw(_probs),
+            response_degree_ramp=draw(st.tuples(_probs, _probs)),
+        )
+    except ConfigError:
+        reject()
 
 
 def _pass_prob(b: BehaviorConfig, infected: bool, degree: int) -> float:
@@ -1286,26 +1364,46 @@ class TestRespondentMajorLoopMatchesReference:
 # Seven nodes and ten edges, nodes 0, 1 and 4 infected: small enough to enumerate.
 _ORACLE_NET = Network(np.isin(np.arange(7), [0, 1, 4]), np.array(
     [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (3, 5), (4, 6), (5, 6), (0, 6)]))
+# A hub of degree 7, inside every ramp's 5..10 band, over leaves of degree
+# 2 and 3 on the ramps' flat low part; nodes 0, 3 and 6 infected.
+_ORACLE_HUB = Network(np.isin(np.arange(8), [0, 3, 6]), np.array(
+    [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (3, 4), (5, 6), (6, 7)]))
 _ORACLE_BASE = SamplingConfig(n_seeds=1, coupons_per_respondent=2, target_n=5)
 # Coupons that are often not passed make reseeds, and exhaustion, common.
 _ORACLE_LEAKY = BehaviorConfig(pass_prob_uninfected=0.3, pass_prob_infected=0.5)
 _ORACLE_CASES = {
-    "identity": _ORACLE_BASE,
-    "weighted": dataclasses.replace(_ORACLE_BASE, behavior=BehaviorConfig(
+    "identity": (_ORACLE_NET, _ORACLE_BASE),
+    "weighted": (_ORACLE_NET, dataclasses.replace(_ORACLE_BASE, behavior=BehaviorConfig(
         pass_prob_infected=0.6, infected_candidate_weight=2.5,
-        own_group_weight_uninfected=0.5, response_prob_uninfected=0.7)),
+        own_group_weight_uninfected=0.5, response_prob_uninfected=0.7))),
     # Only three nodes are infected, so the reseeds run out.
-    "infected_only_pps": dataclasses.replace(
-        _ORACLE_BASE, seed_rule=SeedRule.infected_only_pps(), behavior=_ORACLE_LEAKY),
+    "infected_only_pps": (_ORACLE_NET, dataclasses.replace(
+        _ORACLE_BASE, seed_rule=SeedRule.infected_only_pps(), behavior=_ORACLE_LEAKY)),
     # Every degree but node 5's is 3, so the pools turn on the tie-break by id.
-    "uniform_lowest_k": dataclasses.replace(
-        _ORACLE_BASE, n_seeds=2, seed_rule=SeedRule.uniform_lowest(3), behavior=_ORACLE_LEAKY),
-    "uniform_highest_k": dataclasses.replace(
-        _ORACLE_BASE, n_seeds=2, seed_rule=SeedRule.uniform_highest(3), behavior=_ORACLE_LEAKY),
-    "no_reseed": dataclasses.replace(
-        _ORACLE_BASE, reseed_on_die_out=False, behavior=_ORACLE_LEAKY),
+    "uniform_lowest_k": (_ORACLE_NET, dataclasses.replace(
+        _ORACLE_BASE, n_seeds=2, seed_rule=SeedRule.uniform_lowest(3), behavior=_ORACLE_LEAKY)),
+    "uniform_highest_k": (_ORACLE_NET, dataclasses.replace(
+        _ORACLE_BASE, n_seeds=2, seed_rule=SeedRule.uniform_highest(3), behavior=_ORACLE_LEAKY)),
+    "no_reseed": (_ORACLE_NET, dataclasses.replace(
+        _ORACLE_BASE, reseed_on_die_out=False, behavior=_ORACLE_LEAKY)),
+    # The hub passes with 0.76, responds with 0.8 and weighs 1.1 as a
+    # candidate; the kernel weighs hub-leaf gaps of 4 and 5 at 0.5 and 0.375.
+    "degree_ramps": (_ORACLE_HUB, dataclasses.replace(_ORACLE_BASE, behavior=BehaviorConfig(
+        pass_degree_ramp=(1.0, 0.4), response_degree_ramp=(1.0, 0.5),
+        candidate_degree_ramp=(0.5, 2.0), similar_degree_width=8.0))),
 }
 _ORACLE_RUNS = 20_000
+
+
+@functools.cache
+def _oracle_draws(name: str) -> tuple[dict, Counter]:
+    """A case's exact outcome probabilities and its outcome counts over `_ORACLE_RUNS` seeds."""
+    net, config = _ORACLE_CASES[name]
+    counts = Counter()
+    for seed in range(_ORACLE_RUNS):
+        sample = run_rds(net, dataclasses.replace(config, rng_seed=seed))
+        counts[tuple(sample.node_id.tolist()), tuple(sample.recruiter_pos.tolist())] += 1
+    return referral_outcomes(net, config), counts
 
 
 class TestExactReferralOracle:
@@ -1313,14 +1411,8 @@ class TestExactReferralOracle:
 
     @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
     def test_outcome_frequencies_match_exact_probabilities(self, name):
-        config = _ORACLE_CASES[name]
-        exact = referral_outcomes(_ORACLE_NET, config)
+        exact, counts = _oracle_draws(name)
         assert sum(exact.values()) == pytest.approx(1.0, abs=1e-12)
-        counts, naive = Counter(), []
-        for seed in range(_ORACLE_RUNS):
-            sample = run_rds(_ORACLE_NET, dataclasses.replace(config, rng_seed=seed))
-            counts[tuple(sample.node_id.tolist()), tuple(sample.recruiter_pos.tolist())] += 1
-            naive.append(naive_estimate(sample))
         assert set(counts) <= set(exact)
         # Outcomes expected fewer than 5 times are pooled into one cell.
         expected = _ORACLE_RUNS * np.array(list(exact.values()))
@@ -1331,7 +1423,35 @@ class TestExactReferralOracle:
             observed = np.append(observed[~rare], observed[rare].sum())
         chi2 = float(((observed - expected) ** 2 / expected).sum())
         assert stats.chi2.sf(chi2, len(expected) - 1) >= 1e-3
-        share = {nodes: _ORACLE_NET.infected[list(nodes)].mean() for nodes, _ in exact}
-        mean = sum(p * share[nodes] for (nodes, _), p in exact.items())
-        variance = sum(p * (share[nodes] - mean) ** 2 for (nodes, _), p in exact.items())
-        assert abs(np.mean(naive) - mean) <= 4 * math.sqrt(variance / _ORACLE_RUNS)
+
+    @pytest.mark.parametrize("name", sorted(_ORACLE_CASES))
+    def test_estimator_risk_matches_exact_risk(self, name):
+        # Every estimator's exact failure probability, and its mean and
+        # variance where it succeeds, summed over the enumerated outcomes;
+        # N <= 12, so ss enumerates, and cells of 2 give h more than one
+        # degree group, so it departs from sh.  The draws must agree within 4 SEs.
+        net, config = _ORACLE_CASES[name]
+        exact, counts = _oracle_draws(name)
+        by_columns, estimates = {}, {}
+        for outcome in exact:
+            sample = outcome_sample(net, outcome, config.n_seeds)
+            # The estimates read only degrees, groups and recruiter positions.
+            key = (tuple(sample.degree.tolist()), tuple(sample.infected.tolist()), outcome[1])
+            if key not in by_columns:
+                by_columns[key] = estimate_all(sample, net.n_nodes, mean_cell_size=2)
+            estimates[outcome] = by_columns[key]
+        for estimator in ESTIMATOR_NAMES:
+            value = {o: estimates[o].value_of(estimator) for o in exact}
+            ok = [o for o in exact if value[o] is not None]
+            p_fail = math.fsum(p for o, p in exact.items() if value[o] is None)
+            failed = _ORACLE_RUNS - sum(counts[o] for o in ok)
+            assert abs(failed / _ORACLE_RUNS - p_fail) <= (
+                4 * math.sqrt(p_fail * (1 - p_fail) / _ORACLE_RUNS) + 1e-12), estimator
+            if not ok:
+                continue
+            mass = math.fsum(exact[o] for o in ok)
+            mean = math.fsum(exact[o] * value[o] for o in ok) / mass
+            variance = math.fsum(exact[o] * (value[o] - mean) ** 2 for o in ok) / mass
+            drawn = _ORACLE_RUNS - failed
+            simulated = math.fsum(counts[o] * value[o] for o in ok) / drawn
+            assert abs(simulated - mean) <= 4 * math.sqrt(variance / drawn) + 1e-12, estimator
