@@ -32,15 +32,13 @@ class EstimationError(RdslabError, RuntimeError):
     Attributes
     ----------
     code : str
-        Stable machine-readable failure token.
-    partial : object or None
-        Last iterate for iterative procedures that failed to converge.
+        Stable machine-readable failure token; the replication CSV's
+        ``failure_code`` cell carries it, and nothing else of the failure.
     """
 
-    def __init__(self, message: str, code: str = "estimation_error", partial=None):
+    def __init__(self, message: str, code: str = "estimation_error"):
         super().__init__(message)
         self.code = code
-        self.partial = partial
 
 
 def as_int(value, where: str) -> int:

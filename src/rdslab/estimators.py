@@ -80,10 +80,13 @@ ENUMERATION_LIMIT = 12
 ENUMERATION_MAX_STATES = 100_000
 ENUMERATION_MAX_DRAWS = 500
 
-#: Newton steps allowed in `_asymptotic_inclusion`; each step from below
-#: advances t by about 1 / (typical surviving degree), so even sampling
-#: fractions near one need only a few dozen.
-_NEWTON_MAX_STEPS = 200
+#: Passes allowed in each SS loop: the Newton steps of `_asymptotic_inclusion`
+#: and `_asymptotic_fixed_point`, and the passes of `_ss_fixed_point`'s map
+#: over integer compositions.  A Newton solve takes about
+#: 8 + 2.3 log10(N / (N - n)) steps, the stopping one included: at most 35 on
+#: random heavy-tailed compositions (degrees to 500, up to 40 classes) for
+#: n / N up to 1 - 1e-12.
+_MAX_STEPS = 50
 
 #: `equilibrium_distribution` counts a singular value under this share of the largest as 0.
 _RANK_CUTOFF = 1e-12
@@ -145,18 +148,17 @@ class SsOptions:
     `ENUMERATION_LIMIT` units, otherwise the deterministic large-population
     closed form on the real-valued estimated composition), ``enumerate``, or
     ``monte_carlo``.  Under the closed form the fixed point is the root of
-    one equation in the race threshold t, solved by Newton to rounding in at
-    most ``max_iterations`` evaluations.  ``enumerate`` and ``monte_carlo``
-    iterate the map over integer compositions for at most
-    ``max_iterations`` passes, until a composition repeats.  ``monte_carlo``
-    is the reference path: it reuses one frozen block of ``mc_replications``
+    one equation in the race threshold t, solved by Newton to rounding.
+    ``enumerate`` and ``monte_carlo`` iterate the map over integer
+    compositions until a composition repeats.  No option stops either: each
+    loop is capped by the module constant `_MAX_STEPS`.  ``monte_carlo`` is
+    the reference path: it reuses one frozen block of ``mc_replications``
     x N exponential draws, seeded by ``rng_seed``, across fixed-point
     iterations, so the iteration is a deterministic map over a finite set
     and must revisit a composition.  ``mc_replications`` and ``rng_seed``
     matter only under ``monte_carlo``.
     """
 
-    max_iterations: int = 50
     mc_replications: int = 2000
     rng_seed: int = 0
     method: str = "auto"
@@ -164,8 +166,6 @@ class SsOptions:
     def __post_init__(self) -> None:
         if self.method not in ("auto", "enumerate", "monte_carlo"):
             raise ConfigError(f"unknown ss method {self.method!r}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.mc_replications < 1:
             raise ConfigError(f"mc_replications must be >= 1, got {self.mc_replications}")
         if self.rng_seed < 0:
@@ -292,7 +292,7 @@ def _asymptotic_inclusion(
     lost = np.zeros(degrees.size)
     neg_rate = -rate
     size_rate = size * rate
-    for _ in range(_NEWTON_MAX_STEPS):
+    for _ in range(_MAX_STEPS):
         shortfall = draws + float(size @ lost)
         if shortfall <= 0.0:
             break
@@ -354,16 +354,15 @@ def _integer_composition(shares: np.ndarray, total: int) -> np.ndarray:
     return floors
 
 
-def _not_converged(degrees: np.ndarray, pi: np.ndarray, iterations: int) -> EstimationError:
+def _not_converged() -> EstimationError:
     return EstimationError(
-        f"successive-sampling fixed point did not converge in {iterations} iterations",
+        f"successive-sampling fixed point did not converge in {_MAX_STEPS} iterations",
         code=SS_NONCONVERGENCE,
-        partial=dict(zip(degrees.tolist(), pi.tolist())),
     )
 
 
 def _asymptotic_fixed_point(
-    degrees: np.ndarray, sample_counts: np.ndarray, population_size: int, max_steps: int
+    degrees: np.ndarray, sample_counts: np.ndarray, population_size: int
 ) -> np.ndarray:
     """Fixed point of the estimated composition under `_asymptotic_inclusion`.
 
@@ -374,17 +373,17 @@ def _asymptotic_fixed_point(
     from +inf to n and is convex, so the root is unique for n < N;
     ``1 - exp(-x) < x`` puts ``t0 = sum_k (c_k / d_k) / N`` left of it, and
     Newton from there rises monotonically.  It stops once ``S(t) <= N`` or a
-    step no longer moves t, within a dozen steps for n / N anywhere in
-    [1e-7, 1).  Iterating the map itself converges only linearly, and on
-    some heavy-tailed compositions at sampling fractions around one half it
-    settles into a 2-cycle around this root instead.
+    step no longer moves t, within 35 steps for n / N anywhere in
+    [1e-7, 1 - 1e-12].  Iterating the map itself converges only linearly,
+    and on some heavy-tailed compositions at sampling fractions around one
+    half it settles into a 2-cycle around this root instead.
     """
     neg_rate = -degrees.astype(np.float64)
     count_rate = sample_counts * degrees
     target = float(population_size)
     t = float(sample_counts @ (1.0 / degrees)) / target
     lost = np.empty(degrees.size)  # expm1(-d t), which is -pi
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         np.expm1(np.multiply(neg_rate, t, out=lost), out=lost)
         inverse = 1.0 / lost
         excess = -float(sample_counts @ inverse) - target
@@ -398,7 +397,7 @@ def _asymptotic_fixed_point(
             break
         t = advanced
     else:
-        raise _not_converged(degrees, -lost, max_steps)
+        raise _not_converged()
     return -lost
 
 
@@ -415,8 +414,7 @@ def _ss_fixed_point(
     `_asymptotic_fixed_point`; the integer-composition methods iterate the
     map until a composition repeats and return the average of ``pi`` over
     the cycle it closes (one pass long at a fixed point).  Either raises
-    ``ss_nonconvergence``, with the last probabilities as ``partial``, past
-    ``options.max_iterations``.
+    ``ss_nonconvergence`` past `_MAX_STEPS` steps or passes.
     """
     sample_counts = sample_counts.astype(np.float64)
     if draws > population_size:
@@ -427,14 +425,11 @@ def _ss_fixed_point(
     if inclusion is _asymptotic_inclusion:
         if draws == population_size:  # census: every unit is drawn
             return np.ones(degrees.size)
-        return _asymptotic_fixed_point(
-            degrees, sample_counts, population_size, options.max_iterations
-        )
+        return _asymptotic_fixed_point(degrees, sample_counts, population_size)
     estimated = sample_counts * (population_size / sample_counts.sum())
-    pi = np.ones_like(sample_counts)
     seen: dict[tuple[int, ...], int] = {}
     history: list[np.ndarray] = []
-    for _ in range(options.max_iterations):
+    for _ in range(_MAX_STEPS):
         composition = _integer_composition(estimated, population_size)
         key = tuple(composition.tolist())
         if key in seen:
@@ -448,7 +443,7 @@ def _ss_fixed_point(
         history.append(pi)
         raw = sample_counts / pi
         estimated = raw * (population_size / raw.sum())
-    raise _not_converged(degrees, pi, options.max_iterations)
+    raise _not_converged()
 
 
 def ss_estimate(
@@ -462,8 +457,8 @@ def ss_estimate(
     reweighs respondents by the reciprocal probabilities.  Above
     `ENUMERATION_LIMIT` units, ``auto`` finds that fixed point as one root
     in t (see `_asymptotic_fixed_point`); the other methods iterate until a
-    composition repeats.  Fails with ``ss_nonconvergence`` past
-    ``options.max_iterations``.
+    composition repeats.  Fails with ``ss_nonconvergence`` past `_MAX_STEPS`
+    steps or passes.
     """
     _require_nonempty(sample)
     _require_positive_degrees(sample)

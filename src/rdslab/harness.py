@@ -330,8 +330,11 @@ def load_replication_csv(path) -> ReplicationTable:
     double reads as infinity and is refused) and the replication index,
     ``realized_n`` and ``reseeds`` nonnegative.  The base seed is not in the
     file and reads as 0; a failed estimate takes the row's whole
-    ``failure_code`` cell as its code.  A repeated replication index is
-    refused with the line of its repeat.
+    ``failure_code`` cell as its code.  Refused with their line: a repeated
+    replication index, an ``NA`` beside an empty ``failure_code``, a code
+    on a row with no ``NA``, and a ``*_flag_one`` of 1 on a value other
+    than 1.  A flag of 0 beside a ``1`` is kept: the writer prints a value
+    within 5e-11 of 1 that way.
     """
     numbered = enumerate(read_text(path).split("\n"), start=1)
     lines = [(lineno, line) for lineno, line in numbered if line.strip()]
@@ -356,14 +359,22 @@ def load_replication_csv(path) -> ReplicationTable:
             sh_equal_one=as_flag(cell["sh_flag_one"], where),
             h_equal_one=as_flag(cell["h_flag_one"], where),
         )
+        code = cell["failure_code"]
         for name in ESTIMATOR_NAMES:
             if cell[name] == MISSING:
-                estimates.failures[name] = cell["failure_code"] or "recorded_failure"
+                if not code:
+                    raise ConfigError(f"{where}: failure_code is empty, but {name} is NA")
+                estimates.failures[name] = code
             else:
                 value = as_float(cell[name], where)
                 if not math.isfinite(value):
                     raise ConfigError(f"{where}: {name} must be finite, got {cell[name]!r}")
                 setattr(estimates, name, value)
+        if code and not estimates.failures:
+            raise ConfigError(f"{where}: failure_code is {code!r}, but no estimate is NA")
+        for name, flag in (("sh", estimates.sh_equal_one), ("h", estimates.h_equal_one)):
+            if flag and estimates.value_of(name) != 1.0:
+                raise ConfigError(f"{where}: {name}_flag_one is 1, but {name} is {cell[name]}")
         counts = {}
         for column in ("replication", "realized_n", "reseeds"):
             counts[column] = as_int(cell[column], where)

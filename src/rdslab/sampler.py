@@ -378,7 +378,7 @@ class Sample:
 def _degree_ramp(degree: int, low: float, high: float) -> float:
     if degree <= _RAMP_LOW_DEGREE:
         return low
-    if degree > _RAMP_HIGH_DEGREE:
+    if degree >= _RAMP_HIGH_DEGREE:  # the interpolation need not round to ``high``
         return high
     span = _RAMP_HIGH_DEGREE - _RAMP_LOW_DEGREE
     return low + (degree - _RAMP_LOW_DEGREE) * (high - low) / span
@@ -663,13 +663,18 @@ def save_sample(sample: Sample, path) -> None:
 def load_sample(path) -> Sample:
     """Read a sample written by `save_sample`.
 
-    A row names its recruiter or is a seed; only a seed may be a reseed.
+    A row names its recruiter or is a seed; only a seed may be a reseed.  A
+    recruiter id names the last respondent with that node id
+    (`Sample.recruiter_pos`), so it must appear on an earlier row, and no
+    later row may repeat it.
     """
     header, *lines = read_text(path).split("\n")
     if header.strip() != _SAMPLE_COLUMNS:
         raise ConfigError(f"{path}: unexpected header {header.strip()!r}")
     records: list[RespondentRecord] = []
     meta: dict[str, int] = {}
+    seen: set[int] = set()  # node ids of the rows read so far
+    named: set[int] = set()  # recruiter ids named so far
     for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
@@ -703,6 +708,15 @@ def load_sample(path) -> Sample:
         infected, reseed = as_flag(parts[3], where), as_flag(parts[6], where)
         if reseed and recruiter is not None:
             raise ConfigError(f"{where}: reseed must be 0 on a row with recruiter_id {rec}")
+        if recruiter is not None:
+            if rec not in seen:
+                raise ConfigError(f"{where}: recruiter_id {rec} does not appear earlier "
+                                  "in the sample")
+            named.add(rec)
+        if node in named:
+            raise ConfigError(f"{where}: node_id {node} repeats a respondent already named "
+                              "as a recruiter")
+        seen.add(node)
         records.append(RespondentRecord(node, degree, infected, recruiter, wave, reseed))
     exhausted = meta.pop("exhausted", False)
     return Sample(records=records, counts=EventCounts(**meta), exhausted=exhausted)

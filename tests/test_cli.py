@@ -127,6 +127,8 @@ class TestParseConfig:
             ({"estimation": {"ss": {"bogus": 1}}}, "estimation.ss.bogus"),
             ({"experiment": {"reps": 5}}, "experiment.reps"),
             ({"stray": 1}, "stray"),
+            # SS loops stop at one constant cap; no key sets it.
+            ({"estimation": {"ss": {"max_iterations": 50}}}, "estimation.ss.max_iterations"),
         ],
     )
     def test_unknown_keys_named(self, document, needle):
@@ -144,7 +146,7 @@ class TestParseConfig:
             ({"network": {"mean_degree": "high"}}, "network.mean_degree"),
             ({"sampling": {"behavior": {"pass_degree_ramp": [1, "x"]}}},
              "sampling.behavior.pass_degree_ramp"),
-            ({"estimation": {"ss": {"max_iterations": 2.5}}}, "estimation.ss.max_iterations"),
+            ({"estimation": {"ss": {"mc_replications": 2.5}}}, "estimation.ss.mc_replications"),
             ({"estimation": {"population_size": [1000]}}, "estimation.population_size"),
             ({"experiment": {"replications": "many"}}, "experiment.replications"),
             ({"label": None}, "label"),
@@ -417,6 +419,23 @@ class TestExitCodes:
         assert f"{smp}:{lineno}" in payload["message"]
 
     @pytest.mark.parametrize(
+        "rows,lineno", [
+            ("0 5 3 1 -1 0 0\n1 6 2 0 7 1 0\n", 3),  # recruiter 7 is nowhere
+            ("0 5 3 1 6 1 0\n1 6 2 0 -1 0 0\n", 2),  # recruiter 6 comes later
+            ("0 5 3 1 -1 0 0\n1 6 2 0 5 1 0\n2 5 3 1 -1 0 0\n", 4),  # 5 is named, then repeated
+        ]
+    )
+    def test_unresolved_recruiter_is_one_json_line(self, tmp_path, capsys, rows, lineno):
+        # Refused while loading, before the effective config is echoed.
+        smp = tmp_path / "s.txt"
+        smp.write_text("order node_id degree infected recruiter_id wave reseed\n" + rows)
+        assert dispatch(["estimate", "--sample", str(smp), "--pop-size", "100"]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "config"
+        assert payload["message"].startswith(f"{smp}:{lineno}: ")
+
+    @pytest.mark.parametrize(
         "text,needle",
         [
             (b"sampling:\n  behavior:\n    pass_degree_ramp: [1.0]\n",
@@ -644,6 +663,10 @@ class TestSummarize:
             "a,-3,0.3,0.5,0.5,0.5,0.5,0,0,,200,0",
             "a,0,0.3,0.5,0.5,0.5,0.5,0,0,,-200,0",
             "a,0,0.3,0.5,0.5,0.5,0.5,0,0,,200,-1",
+            "a,0,0.5,0.5,0.5,0.5,0.5,0,0,foo,10,0",  # a code but no NA
+            "a,0,NA,0.5,0.5,0.5,0.5,0,0,,10,0",  # an NA but no code
+            "a,0,0.5,0.5,0.5,0.3,0.5,1,0,,10,0",  # sh_flag_one on 0.3
+            "a,0,0.5,0.5,0.5,0.5,NA,0,1,empty_group,10,0",  # h_flag_one on NA
         ],
     )
     def test_bad_cell_names_the_line(self, tmp_path, capsys, row):

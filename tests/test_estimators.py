@@ -36,6 +36,7 @@ from rdslab import (
     ss_probabilities,
     vh_estimate,
 )
+from rdslab import estimators
 from rdslab.estimators import (
     EMPTY_GROUP,
     EMPTY_SAMPLE,
@@ -46,6 +47,7 @@ from rdslab.estimators import (
     SS_NONCONVERGENCE,
     ZERO_DEGREE,
     ZERO_RCD_SUM,
+    _asymptotic_fixed_point,
     _asymptotic_inclusion,
     _balance_ratio,
     _ss_fixed_point,
@@ -248,7 +250,6 @@ class TestInclusionProbabilities:
     @pytest.mark.parametrize(
         "name,value,message",
         [
-            ("max_iterations", 0, "max_iterations must be >= 1"),
             ("mc_replications", 0, "mc_replications must be >= 1"),
             ("rng_seed", -1, "rng_seed must be >= 0"),
         ],
@@ -291,14 +292,13 @@ class TestSsEstimate:
             naive_estimate(golden), abs=1e-12
         )
 
-    def test_nonconvergence_error_carries_partial(self, golden):
+    def test_nonconvergence_fails_with_code(self, golden, monkeypatch):
+        monkeypatch.setattr(estimators, "_MAX_STEPS", 1)
         # auto on 50 units runs the closed form
         for method, population in (("enumerate", 9), ("monte_carlo", 9), ("auto", 50)):
-            opts = SsOptions(method=method, max_iterations=1)
             with pytest.raises(EstimationError) as info:
-                ss_estimate(golden, population, opts)
+                ss_estimate(golden, population, SsOptions(method=method))
             assert info.value.code == SS_NONCONVERGENCE
-            assert isinstance(info.value.partial, dict)
 
     def test_discrete_cycle_returns_its_average(self):
         # One unit each of degrees 1 and 2, N = 4: the rounding alternates
@@ -360,6 +360,22 @@ def _iterated_asymptotic_map(degrees, counts, population, draws, passes=5000):
     return None
 
 
+@st.composite
+def heavy_tailed_compositions(draw):
+    """Up to 40 degree classes, degrees to 500 and class weights over three
+    decades, both log-uniform, as ``(degrees, shares summing to 1, n / N)``
+    with n / N in [1e-7, 1 - 1e-12]."""
+    classes = draw(st.dictionaries(
+        st.floats(0.0, math.log(500.0)).map(lambda x: math.ceil(math.exp(x))),
+        st.floats(0.0, math.log(1000.0)).map(math.exp), min_size=1, max_size=40))
+    degrees = np.array(sorted(classes), dtype=np.int64)
+    weights = np.array([classes[d] for d in degrees.tolist()])
+    half = math.log10(0.5)
+    fraction = draw(st.floats(-7.0, half).map(lambda x: 10.0**x)
+                    | st.floats(-12.0, half).map(lambda x: 1.0 - 10.0**x))
+    return degrees, weights / weights.sum(), fraction
+
+
 class TestAsymptoticFixedPoint:
     @given(classes=st.dictionaries(st.integers(1, 60), st.integers(1, 50),
                                    min_size=1, max_size=20),
@@ -395,14 +411,33 @@ class TestAsymptoticFixedPoint:
         implied = counts / pi * (178 / math.fsum(counts / pi))
         assert np.abs(_asymptotic_inclusion(degrees, implied, 91) - pi).max() <= 1e-10
 
-    def test_tolerance_unused_and_step_cap_kept(self):
+    def test_tolerance_unused_and_step_cap_kept(self, monkeypatch):
         net = generate_network(NetworkSpec(differential_activity=1.8, rng_seed=4))
         s = run_rds(net, SamplingConfig(n_seeds=10, seed_rule=SeedRule.pps_degree(),
                                         target_n=200, rng_seed=4))
+        monkeypatch.setattr(estimators, "_MAX_STEPS", 1)
         with pytest.raises(EstimationError) as info:
-            ss_estimate(s, 1000, SsOptions(max_iterations=1))
+            ss_estimate(s, 1000)
         assert info.value.code == SS_NONCONVERGENCE
-        assert sorted(info.value.partial) == np.unique(s.degree).tolist()
+
+    @given(composition=heavy_tailed_compositions())
+    def test_newton_solves_stop_inside_the_cap(self, composition):
+        # Both closed-form solves stop on their own within 35 steps, so the
+        # cap gives the bits that the earlier cap of 200 steps gave.
+        degrees, shares, fraction = composition
+        population = 10**13
+
+        def solve():
+            return (
+                _asymptotic_fixed_point(degrees, shares * (fraction * population), population),
+                _asymptotic_inclusion(degrees, shares * population, round(fraction * population)),
+            )
+
+        expected = solve()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimators, "_MAX_STEPS", 200)
+            uncapped = solve()
+        assert [pi.tobytes() for pi in uncapped] == [pi.tobytes() for pi in expected]
 
     def test_reported_degree_far_above_the_population(self):
         # A loaded sample may report any degree; none may cost memory in proportion.
@@ -734,14 +769,14 @@ class TestEstimateAll:
             h_estimate(empty)
         assert info.value.code == EMPTY_SAMPLE
 
-    def test_weighted_estimator_failures_recorded(self, golden):
+    def test_weighted_estimator_failures_recorded(self, golden, monkeypatch):
         zero = make_sample([rec(0, 0, True), rec(1, 2, False), rec(2, 2, True, 1, 1)])
         full = estimate_all(zero, 9, ss_options=SsOptions(method="enumerate"))
         assert (full.vh, full.ss) == (None, None)
         assert full.failures["vh"] == full.failures["ss"] == ZERO_DEGREE
         assert full.naive == pytest.approx(2 / 3)
-        capped = SsOptions(method="enumerate", max_iterations=1)
-        full = estimate_all(golden, 9, ss_options=capped)
+        monkeypatch.setattr(estimators, "_MAX_STEPS", 1)
+        full = estimate_all(golden, 9, ss_options=SsOptions(method="enumerate"))
         assert full.ss is None
         assert full.failures == {"ss": SS_NONCONVERGENCE}
 

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,15 +61,18 @@ def single_column_table(label, values, realized=10):
 
 @st.composite
 def estimate_sets(draw):
-    estimates = EstimateSet(sh_equal_one=draw(st.booleans()), h_equal_one=draw(st.booleans()))
+    estimates = EstimateSet()
     for name in ESTIMATOR_NAMES:
         # Ten significant digits round values next to the largest double up
         # past it, so they would read back as infinity; estimates are shares.
-        value = draw(st.none() | st.floats(-1e308, 1e308))
+        value = draw(st.none() | st.just(1.0) | st.floats(-1e308, 1e308))
         if value is None:
             estimates.failures[name] = draw(st.text("abcdefghij_", min_size=1, max_size=8))
         else:
             setattr(estimates, name, value)
+    # As `estimate_all` sets them; the loader refuses a flag of 1 on another value.
+    estimates.sh_equal_one = estimates.sh == 1.0
+    estimates.h_equal_one = estimates.h == 1.0
     return estimates
 
 
@@ -170,6 +177,60 @@ class TestBenchPatchTargets:
         argv = ["experiment", "--config", str(config), "--out", str(tmp_path / "exp")]
         assert cli.dispatch(argv) == 0
         assert calls["run_condition"] == 1
+
+
+def _bench_module(name: str):
+    """A module of the benchmark, imported from its file without running it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # `dataclasses` looks its module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchConfig:
+    def test_config_document_parses_to_each_workload(self):
+        # `bench/run.py` writes its reference run's YAML from the condition's
+        # dataclasses, so a deleted or renamed config field shows up here.
+        workloads, run = _bench_module("workloads"), _bench_module("run")
+        for name in run.PREFIX_REPS:
+            condition = workloads.build_condition(name, 3)
+            parsed = cli.parse_config(run.config_document(condition))
+            names = [f.name for f in dataclasses.fields(Condition)]
+            assert Condition(**{n: getattr(parsed, n) for n in names}) == condition
+            assert parsed.population_size == condition.network.n_nodes
+
+    def test_every_name_the_bench_reads_exists(self):
+        # Each `root.a.b` chain in `bench/run.py` whose root is one of these
+        # objects, and each name it imports from rdslab, must resolve.
+        source = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        net = generate_network(SMALL.network)
+        sample = harness.run_rds(net, SMALL.sampling)
+        objects = {
+            "condition": _bench_module("workloads").build_condition("desk_da18", 3),
+            "harness": harness, "estimators": estimators, "cli": cli,
+            "row": run_replication(SMALL, 0), "net": net, "sample": sample,
+            "c": sample.counts,
+        }
+        chains = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rdslab"):
+                module = importlib.import_module(node.module)
+                chains += [(module, [alias.name]) for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                attrs = []
+                while isinstance(node, ast.Attribute):
+                    attrs.insert(0, node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id in objects:
+                    chains.append((objects[node.id], attrs))
+        assert ["ss_options", "mc_replications"] in [attrs for _, attrs in chains]
+        for obj, attrs in chains:
+            for attr in attrs:
+                assert hasattr(obj, attr), (obj, attrs)
+                obj = getattr(obj, attr)
 
 
 class TestSummarize:
@@ -340,6 +401,17 @@ class TestCsvExport:
         export_csv(table, folder / "a.csv")
         export_csv(load_replication_csv(folder / "a.csv"), folder / "b.csv")
         assert (folder / "a.csv").read_bytes() == (folder / "b.csv").read_bytes()
+
+    def test_value_printed_as_one_keeps_its_zero_flag(self, tmp_path):
+        # Ten significant digits print sh = 1 - 3e-11 as 1, beside the flag
+        # 0 it had; the loader reads that row back as written.
+        near = 1.0 - 3e-11
+        row = ReplicationRow(0, EstimateSet(naive=0.5, vh=0.5, ss=0.5, sh=near, h=0.5), 10, 0)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        export_csv(ReplicationTable("demo", 0, [row]), a)
+        assert a.read_text().splitlines()[1] == "demo,0,0.5,0.5,0.5,1,0.5,0,0,,10,0"
+        export_csv(load_replication_csv(a), b)
+        assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_object_rejected(self, tmp_path):
         for table in ({"not": "a table"}, object()):

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -317,6 +317,20 @@ class TestRecruitmentWeight:
         assert _degree_ramp(11, 0.5, 1.0) == pytest.approx(1.0)
         b = BehaviorConfig(candidate_degree_ramp=(0.5, 1.0))
         assert recruitment_weight(self.NET, b, 0, 2) == pytest.approx(0.5)
+        for ramp in ((1e308, 0.0), (0.0, 1.7e308)):  # steps overflow to -inf, inf
+            with pytest.raises(ConfigError, match="candidate_degree_ramp"):
+                BehaviorConfig(candidate_degree_ramp=ramp)
+
+    @given(low=st.floats(0.0, 1e307), high=st.floats(0.0, 1e307))
+    @example(low=1.0, high=0.3)
+    @example(low=6.7, high=0.0)
+    def test_degree_ramp_ends_at_high(self, low, high):
+        # Below 1e307, 4 * (high - low) stays finite; a ramp whose steps
+        # overflow is refused by `BehaviorConfig`.
+        values = [_degree_ramp(d, low, high) for d in range(13)]
+        assert values[5] == low
+        assert values[10:] == [high] * 3
+        assert min(values) >= 0.0
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -799,6 +813,17 @@ class TestRunRds:
         assert totals[2.0] > totals[1.0]
 
 
+def _loadable(records: list[RespondentRecord]) -> list[RespondentRecord]:
+    """Rows as `load_sample` takes them: a drawn recruiter becomes the node id
+    of an earlier row (ids here are distinct), and only a row with no
+    recruiter may be a reseed."""
+    out = []
+    for i, r in enumerate(records):
+        rec = None if r.recruiter_id is None or i == 0 else records[r.recruiter_id % i].node_id
+        out.append(dataclasses.replace(r, recruiter_id=rec, reseed=r.reseed and rec is None))
+    return out
+
+
 class TestSampleSerialization:
     def test_round_trip(self, tmp_path):
         net = generate_network(NetworkSpec(rng_seed=5))
@@ -835,9 +860,7 @@ class TestSampleSerialization:
             recruiter_id=st.none() | st.integers(0, 10**6),
             wave=st.integers(0, 50),
             reseed=st.booleans(),
-        # Only a row with no recruiter may be a reseed (`load_sample` refuses the rest).
-        ).map(lambda r: dataclasses.replace(r, reseed=r.reseed and r.recruiter_id is None)),
-            max_size=20),
+        ), max_size=20, unique_by=lambda r: r.node_id).map(_loadable),
         counts=st.builds(EventCounts, *[st.integers(0, 10**4)] * 4),
         exhausted=st.booleans(),
     )
@@ -867,12 +890,20 @@ class TestSampleSerialization:
             ("0 5 3 1 -1 0 0\n1 7 2 1 5 -4 0\n", "bad.txt:3: wave must be >= 0, got -4"),
             ("0 1 3 1 -1 0 0\n1 2 2 0 1 1 1\n", "bad.txt:3: reseed must be 0 on a row with "
              "recruiter_id 1"),
+            ("0 5 3 1 -1 0 0\n1 6 2 0 7 1 0\n", "bad.txt:3: recruiter_id 7 does not appear "
+             "earlier in the sample"),
+            ("0 5 3 1 -1 0 0\n1 5 2 0 5 1 0\n", "bad.txt:3: node_id 5 repeats a respondent "
+             "already named as a recruiter"),
         ]:
             path.write_text(header + rows)
             with pytest.raises(ConfigError, match=message):
                 load_sample(path)
         path.write_text(header + "0 5 0 1 -1 0 0\n")  # an isolated respondent
         assert load_sample(path).degree.tolist() == [0]
+        # A repeated node id nobody has named yet is kept; a recruiter id
+        # names its last respondent.
+        path.write_text(header + "0 5 3 1 -1 0 0\n1 5 3 1 -1 0 0\n2 6 2 0 5 1 0\n")
+        assert load_sample(path).recruiter_pos.tolist() == [-1, -1, 1]
 
 
 def _sample_sha256(net: Network, cfg: SamplingConfig, path) -> tuple[str, Sample]:
