@@ -244,8 +244,8 @@ def _cmd_gen(args) -> int:
 def _cmd_sample(args) -> int:
     config = read_config(args.config)
     config = _with_flags(config, sampling=_with_flags(config.sampling, rng_seed=args.seed))
-    _echo_config(config)
     net = load_network(args.network)
+    _echo_config(config)
     sample = run_rds(net, config.sampling)
     save_sample(sample, args.out)
     print(f"wrote {args.out}")

@@ -170,7 +170,9 @@ def run_condition(condition: Condition) -> ReplicationTable:
 def summarize(table: ReplicationTable) -> ConditionSummary:
     """Per-estimator moments over successful rows, plus failure tallies.
 
-    Variance is the sample variance (n-1 denominator).
+    Variance is the sample variance (n-1 denominator).  sh and h count their
+    ones from ``sh_equal_one`` and ``h_equal_one``, which a replication CSV
+    keeps as written while it prints a value within 5e-11 of 1 as ``1``.
     """
     out = []
     n_reps = len(table.rows)
@@ -179,7 +181,10 @@ def summarize(table: ReplicationTable) -> ConditionSummary:
         arr = np.array([v for v in values if v is not None], dtype=np.float64)
         mean = float(arr.mean()) if arr.size else float("nan")
         variance = float(arr.var(ddof=1)) if arr.size > 1 else float("nan")
-        ones = int((arr == 1.0).sum())
+        if name in ("sh", "h"):  # the flags a replication CSV keeps
+            ones = sum(getattr(row.estimates, f"{name}_equal_one") for row in table.rows)
+        else:
+            ones = int((arr == 1.0).sum())
         out.append(
             SummaryRow(
                 estimator=name,
@@ -325,11 +330,10 @@ def export_csv(table, path) -> None:
 def load_replication_csv(path) -> ReplicationTable:
     """Read a replication table written by `export_csv`.
 
-    Exporting the result writes the same bytes again.  Estimates must be
-    finite (a value that ten significant digits round past the largest
-    double reads as infinity and is refused) and the replication index,
-    ``realized_n`` and ``reseeds`` nonnegative.  The base seed is not in the
-    file and reads as 0; a failed estimate takes the row's whole
+    Exporting the result writes the same bytes again.  Estimates are
+    shares, so each must lie in [0, 1], and the replication index,
+    ``realized_n`` and ``reseeds`` must be nonnegative.  The base seed is
+    not in the file and reads as 0; a failed estimate takes the row's whole
     ``failure_code`` cell as its code.  Refused with their line: a repeated
     replication index, an ``NA`` beside an empty ``failure_code``, a code
     on a row with no ``NA``, and a ``*_flag_one`` of 1 on a value other
@@ -367,8 +371,8 @@ def load_replication_csv(path) -> ReplicationTable:
                 estimates.failures[name] = code
             else:
                 value = as_float(cell[name], where)
-                if not math.isfinite(value):
-                    raise ConfigError(f"{where}: {name} must be finite, got {cell[name]!r}")
+                if not 0 <= value <= 1:
+                    raise ConfigError(f"{where}: {name} must be in [0, 1], got {cell[name]!r}")
                 setattr(estimates, name, value)
         if code and not estimates.failures:
             raise ConfigError(f"{where}: failure_code is {code!r}, but no estimate is NA")

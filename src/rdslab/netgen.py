@@ -69,7 +69,8 @@ class NetworkSpec:
 
     Defaults describe a population of 1000 nodes, 200 of them infected, with
     mean degree 7, a 5:1 within-infected homophily ratio, and equal expected
-    degrees in both groups.
+    degrees in both groups.  A spec whose moments imply a block probability
+    outside [0, 1] is refused (`solve_block_probabilities`).
     """
 
     n_nodes: int = 1000
@@ -96,6 +97,7 @@ class NetworkSpec:
             )
         if self.rng_seed < 0:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
+        solve_block_probabilities(self)  # an infeasible spec is refused on construction
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .errors import ConfigError, SamplingError, as_flag, as_int, read_text
-from .netgen import MAX_NODES, Network
+from .netgen import Network
 
 __all__ = [
     "SeedRule",
@@ -98,6 +98,9 @@ _PPS_VARIANTS = (PPS_DEGREE, INFECTED_ONLY_PPS)
 _RAMP_LOW_DEGREE = 5
 _RAMP_HIGH_DEGREE = 10
 _KERNEL_FLOOR = 0.05
+# A positive recruitment weight lies in [_MIN_WEIGHT, _MAX_WEIGHT] (`BehaviorConfig`).
+_MIN_WEIGHT = 1e-100
+_MAX_WEIGHT = 1e100
 
 
 @dataclass(frozen=True)
@@ -146,7 +149,7 @@ class SeedRule:
 class BehaviorConfig:
     """Respondent behavior knobs; every default is the identity.
 
-    Recruitment preference (weights, any nonnegative scale):
+    Recruitment preference (relative weights):
 
     * ``own_group_weight_*``: multiplies candidates of the recruiter's own
       infection group, keyed by the recruiter's group.
@@ -158,10 +161,12 @@ class BehaviorConfig:
       candidate's degree: low up to degree 5, high above degree 10, linear
       in between.
 
-    Each weight must be finite and >= 0, and their products must neither
-    round to 0 nor overflow: a config whose positive factors can multiply to
-    0, or whose largest weight times `MAX_NODES` overflows, is rejected
-    (`_check_weight_products`).
+    Each weight, both ramp ends included, is 0 or lies in [1e-100, 1e100].
+    A candidate's weight multiplies at most two group weights, the kernel
+    (>= 0.05) and a ramp value (about a fifth of the larger end or more,
+    when positive), so every positive weight is a normal double between
+    about 1e-302 and 1e300, and a holder's running sum over at most
+    `MAX_NODES` (10**7) candidates stays finite.
 
     Coupon use and response (probabilities in [0, 1]):
 
@@ -185,26 +190,20 @@ class BehaviorConfig:
     response_degree_ramp: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        # A weight of inf or nan makes the draw's total non-finite, so no
-        # candidate but the last could ever be picked.
-        for name in ("own_group_weight_uninfected", "own_group_weight_infected",
-                     "infected_candidate_weight"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
+        weights = {"own_group_weight_uninfected": (self.own_group_weight_uninfected,),
+                   "own_group_weight_infected": (self.own_group_weight_infected,),
+                   "infected_candidate_weight": (self.infected_candidate_weight,),
+                   "candidate_degree_ramp": self.candidate_degree_ramp or ()}
+        bad = [f"{name}={getattr(self, name)}" for name, values in weights.items()
+               if not all(v == 0 or _MIN_WEIGHT <= v <= _MAX_WEIGHT for v in values)]
+        if bad:
+            raise ConfigError(f"recruitment weights must each be 0 or in [{_MIN_WEIGHT:g}, "
+                              f"{_MAX_WEIGHT:g}], got {', '.join(bad)}")
         # An infinite width is allowed: its kernel is exactly 1.
         if self.similar_degree_width is not None and not self.similar_degree_width > 0:
             raise ConfigError(
                 f"similar_degree_width must be > 0, got {self.similar_degree_width}"
             )
-        if self.candidate_degree_ramp is not None and not all(
-            math.isfinite(v) and v >= 0 for v in self.candidate_degree_ramp
-        ):
-            raise ConfigError(
-                "candidate_degree_ramp values must be finite and >= 0, "
-                f"got {self.candidate_degree_ramp}"
-            )
-        self._check_weight_products()
         for name in ("pass_prob_uninfected", "pass_prob_infected",
                      "response_prob_uninfected", "response_prob_infected"):
             value = getattr(self, name)
@@ -214,45 +213,6 @@ class BehaviorConfig:
             lo, hi = getattr(self, name)
             if not (0.0 <= lo <= 1.0 and 0.0 <= hi <= 1.0):
                 raise ConfigError(f"{name} values must be in [0, 1], got {getattr(self, name)}")
-
-    def _check_weight_products(self) -> None:
-        """Reject weights whose products round to 0 or whose running sums overflow.
-
-        A candidate's weight multiplies, in `recruitment_weight`'s order, the
-        group factor of a (holder group, candidate group) pair, a kernel
-        between `_kernel` at the widest gap and 1, and a ramp value.  Rounding
-        is monotone, so the extremes bound every product: of positive factors
-        the least must not round to 0, which no pick could reach, and the
-        largest times `MAX_NODES`, a bound on a holder's running sum, must be
-        finite.  A ramp with a positive end is positive between its ends,
-        where its interpolation must not round to 0 either.
-        """
-        lo, hi = self.candidate_degree_ramp or (1.0, 1.0)
-        ramp = [_degree_ramp(d, lo, hi) for d in range(_RAMP_LOW_DEGREE, _RAMP_HIGH_DEGREE + 2)]
-        if max(lo, hi) > 0 and min(ramp[1:-2]) <= 0:
-            raise ConfigError(f"candidate_degree_ramp {self.candidate_degree_ramp} rounds to 0 "
-                              "between its ends")
-        ramp = [r for r in ramp if r > 0]
-        if not ramp:  # every weight is 0
-            return
-        kernel = _kernel(MAX_NODES, self.similar_degree_width or math.inf)
-        own = {False: "own_group_weight_uninfected", True: "own_group_weight_infected"}
-        for r_inf in (False, True):
-            for c_inf in (False, True):
-                names = [own[r_inf]] * (r_inf == c_inf) + ["infected_candidate_weight"] * c_inf
-                if any(getattr(self, name) == 0 for name in names):
-                    continue
-                group = _group_factor(self, r_inf, c_inf)
-                least, largest = group * kernel * min(ramp), group * max(ramp)
-                if not least > 0:
-                    problem = f"can multiply to {least}"
-                elif not math.isfinite(largest * MAX_NODES):
-                    problem = f"can multiply to {largest}, which times MAX_NODES overflows"
-                else:
-                    continue
-                names += ["similar_degree_width"] * (kernel != 1.0) + [
-                    "candidate_degree_ramp"] * (self.candidate_degree_ramp is not None)
-                raise ConfigError(f"recruitment weight factors {', '.join(names)} {problem}")
 
 
 @dataclass(frozen=True)
@@ -611,8 +571,9 @@ def run_rds(net: Network, config: SamplingConfig) -> Sample:
                 if cumulative[-1] <= 0.0:  # nobody can be picked
                     expired += 1
                     continue
-                # The first running sum above the target, else the last candidate.
-                j = bisect_right(cumulative, random() * cumulative[-1], 0, len(cumulative) - 1)
+                # The first running sum above the target: a total of about
+                # 1e-302 or more (`BehaviorConfig`) is normal, so u * total < total.
+                j = bisect_right(cumulative, random() * cumulative[-1])
                 del weights[j]
             chosen = eligible.pop(j)
             if random() < response_prob[code[chosen]]:
@@ -666,7 +627,9 @@ def load_sample(path) -> Sample:
     A row names its recruiter or is a seed; only a seed may be a reseed.  A
     recruiter id names the last respondent with that node id
     (`Sample.recruiter_pos`), so it must appear on an earlier row, and no
-    later row may repeat it.
+    later row may repeat it.  A tally is >= 0, and ``coupons_used``, as
+    `run_rds` writes it, counts the rows that name a recruiter; a file
+    without a tally reads it as 0.
     """
     header, *lines = read_text(path).split("\n")
     if header.strip() != _SAMPLE_COLUMNS:
@@ -690,6 +653,10 @@ def load_sample(path) -> Sample:
             if key in meta:
                 raise ConfigError(f"{where}: repeated comment key {key!r}")
             meta[key] = as_flag(token, where) if key == "exhausted" else as_int(token, where)
+            if meta[key] < 0:
+                raise ConfigError(f"{where}: {key} must be >= 0, got {meta[key]}")
+            if key == "coupons_used":
+                used_at = where
             continue
         parts = line.split()
         if len(parts) != 7:
@@ -718,5 +685,9 @@ def load_sample(path) -> Sample:
                               "as a recruiter")
         seen.add(node)
         records.append(RespondentRecord(node, degree, infected, recruiter, wave, reseed))
+    recruited = sum(r.recruiter_id is not None for r in records)
+    if meta.get("coupons_used", recruited) != recruited:
+        raise ConfigError(f"{used_at}: coupons_used {meta['coupons_used']} differs from the "
+                          f"{recruited} rows that name a recruiter")
     exhausted = meta.pop("exhausted", False)
     return Sample(records=records, counts=EventCounts(**meta), exhausted=exhausted)

@@ -393,7 +393,29 @@ class TestExitCodes:
         assert len(err) == 1
         payload = json.loads(err[0])
         assert payload["error"] == "config"
-        assert field in payload["message"] and "finite" in payload["message"]
+        assert f"must each be 0 or in [1e-100, 1e+100], got {field}=" in payload["message"]
+
+    @pytest.mark.parametrize("command", ["gen", "experiment"])
+    def test_infeasible_network_is_one_json_line(self, tmp_path, capsys, command):
+        # Refused while the config is read, before the effective config is echoed.
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("network: {n_nodes: 10, n_infected: 2, mean_degree: 9.5, "
+                       "homophily_ratio: 50}\n")
+        assert dispatch([command, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "config"
+        assert payload["message"].startswith("network: spec is infeasible")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_miscounted_network_header_is_one_json_line(self, tmp_path, capsys):
+        net = tmp_path / "net.txt"
+        net.write_text("3 2\n0\n0 1\n")
+        assert dispatch(["sample", "--network", str(net), "--out", str(tmp_path / "s.txt")]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "config"
+        assert "header declares 2 infected ids, found 1" in payload["message"]
 
     def test_infinite_degree_width_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -434,6 +456,20 @@ class TestExitCodes:
         payload = json.loads(line)
         assert payload["error"] == "config"
         assert payload["message"].startswith(f"{smp}:{lineno}: ")
+
+    @pytest.mark.parametrize(
+        "tally,lineno", [("# coupons_issued -5\n", 4), ("# coupons_used 999\n", 4),
+                         ("# coupons_expired 1\n# coupons_used 0\n", 5)]
+    )
+    def test_impossible_tally_is_one_json_line(self, tmp_path, capsys, tally, lineno):
+        smp = tmp_path / "s.txt"
+        smp.write_text("order node_id degree infected recruiter_id wave reseed\n"
+                       "0 5 3 1 -1 0 0\n1 6 2 0 5 1 0\n" + tally)
+        assert dispatch(["estimate", "--sample", str(smp), "--pop-size", "100"]) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "config"
+        assert payload["message"].startswith(f"{smp}:{lineno}: coupons_")
 
     @pytest.mark.parametrize(
         "text,needle",
@@ -667,6 +703,8 @@ class TestSummarize:
             "a,0,NA,0.5,0.5,0.5,0.5,0,0,,10,0",  # an NA but no code
             "a,0,0.5,0.5,0.5,0.3,0.5,1,0,,10,0",  # sh_flag_one on 0.3
             "a,0,0.5,0.5,0.5,0.5,NA,0,1,empty_group,10,0",  # h_flag_one on NA
+            "a,0,1.5,0.5,0.5,0.5,0.5,0,0,,10,0",  # shares lie in [0, 1]
+            "a,0,0.5,-0.5,0.5,0.5,0.5,0,0,,10,0",
         ],
     )
     def test_bad_cell_names_the_line(self, tmp_path, capsys, row):

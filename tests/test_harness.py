@@ -63,9 +63,8 @@ def single_column_table(label, values, realized=10):
 def estimate_sets(draw):
     estimates = EstimateSet()
     for name in ESTIMATOR_NAMES:
-        # Ten significant digits round values next to the largest double up
-        # past it, so they would read back as infinity; estimates are shares.
-        value = draw(st.none() | st.just(1.0) | st.floats(-1e308, 1e308))
+        # Estimates are shares, and the loader refuses a value outside [0, 1].
+        value = draw(st.none() | st.just(1.0) | st.floats(0.0, 1.0))
         if value is None:
             estimates.failures[name] = draw(st.text("abcdefghij_", min_size=1, max_size=8))
         else:
@@ -412,6 +411,19 @@ class TestCsvExport:
         assert a.read_text().splitlines()[1] == "demo,0,0.5,0.5,0.5,1,0.5,0,0,,10,0"
         export_csv(load_replication_csv(a), b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_summary_counts_ones_from_the_flags(self, tmp_path):
+        # sh = 1 - 3e-11 is no 1 in process; its row prints as 1 beside the
+        # flag 0, and the summary counts its ones from that flag.
+        row = ReplicationRow(0, EstimateSet(naive=0.5, vh=0.5, ss=0.5, sh=1.0 - 3e-11, h=0.5),
+                             10, 0)
+        table = ReplicationTable("demo", 0, [row])
+        a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"
+        export_csv(table, a)
+        export_csv(summarize(table), b)
+        export_csv(summarize(load_replication_csv(a)), c)
+        assert b.read_bytes() == c.read_bytes()
+        assert "demo,sh,1,NA,0,0,1\n" in b.read_text()
 
     def test_unknown_object_rejected(self, tmp_path):
         for table in ({"not": "a table"}, object()):

@@ -139,6 +139,9 @@ class TestSolveBlockProbabilities:
             solve_block_probabilities(
                 NetworkSpec(n_nodes=100, n_infected=20, mean_degree=95.0)
             )
+        # Refused on construction, so a `dataclasses.replace` cannot make one either.
+        with pytest.raises(ConfigError, match="spec is infeasible"):
+            dataclasses.replace(NetworkSpec(n_nodes=10, n_infected=2), homophily_ratio=50.0)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -270,19 +273,17 @@ class TestGenerateNetwork:
         if data is None:  # two nodes, every block probability 1
             return NetworkSpec(n_nodes=2, n_infected=1, mean_degree=1.0, homophily_ratio=1.0)
         n = data.draw(st.integers(2, 60))
-        spec = NetworkSpec(
-            n_nodes=n,
-            n_infected=data.draw(st.integers(1, n - 1)),
-            mean_degree=data.draw(st.floats(0.01, 1.0)) * (n - 1),
-            homophily_ratio=data.draw(st.floats(0.2, 8.0)),
-            differential_activity=data.draw(st.floats(0.3, 3.0)),
-            rng_seed=data.draw(st.integers(0, 2**32)),
-        )
-        try:
-            solve_block_probabilities(spec)
+        try:  # `NetworkSpec` refuses an infeasible spec
+            return NetworkSpec(
+                n_nodes=n,
+                n_infected=data.draw(st.integers(1, n - 1)),
+                mean_degree=data.draw(st.floats(0.01, 1.0)) * (n - 1),
+                homophily_ratio=data.draw(st.floats(0.2, 8.0)),
+                differential_activity=data.draw(st.floats(0.3, 3.0)),
+                rng_seed=data.draw(st.integers(0, 2**32)),
+            )
         except ConfigError:
             assume(False)
-        return spec
 
     def test_blocks_at_and_above_a_third_equal_reference(self):
         # Blocks of 2/3, 1/3 and 4/9, where numpy's `geometric` searches.

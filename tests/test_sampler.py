@@ -6,6 +6,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 import tracemalloc
 from collections import Counter, deque
 from fractions import Fraction
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -45,6 +46,7 @@ from rdslab import (
     summarize,
 )
 from rdslab.estimators import ENUMERATION_LIMIT
+from rdslab.netgen import MAX_NODES
 import rdslab.sampler as sampler_module
 from rdslab.sampler import (
     UNIFORM_HIGHEST_K, UNIFORM_LOWEST_K,
@@ -342,7 +344,7 @@ class TestRecruitmentWeight:
         for bad in (float("inf"), float("nan")):
             for name in ("own_group_weight_uninfected", "own_group_weight_infected",
                          "infected_candidate_weight"):
-                with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                with pytest.raises(ConfigError, match=f"must each be 0 or in .*{name}={bad}"):
                     BehaviorConfig(**{name: bad})
             with pytest.raises(ConfigError, match="candidate_degree_ramp"):
                 BehaviorConfig(candidate_degree_ramp=(1.0, bad))
@@ -390,33 +392,40 @@ def _largest_accepted(behavior_of) -> float:
 
 
 class TestWeightProducts:
-    """Weights whose products round to 0 or whose running sums overflow are refused."""
+    """Each weight is 0 or in [1e-100, 1e100], so every product stays normal and summable."""
 
     # Each of these used to skew or stop the picks on the 3-leaf star: the
     # last leaf always, or no recruit at all.
-    @pytest.mark.parametrize("fields,message", [
-        ({"own_group_weight_uninfected": 1e308}, "times MAX_NODES overflows"),
-        ({"own_group_weight_infected": 1e200, "infected_candidate_weight": 1e200},
-         "times MAX_NODES overflows"),
-        ({"own_group_weight_infected": 1e-200, "infected_candidate_weight": 1e-200},
-         "can multiply to 0.0"),
+    @pytest.mark.parametrize("fields", [
+        {"own_group_weight_uninfected": 1e308},
+        {"own_group_weight_infected": 1e200, "infected_candidate_weight": 1e200},
+        {"own_group_weight_infected": 1e-200, "infected_candidate_weight": 1e-200},
     ], ids=["overflow_sum", "overflow_product", "underflow"])
-    def test_star_configs_rejected(self, fields, message):
-        with pytest.raises(ConfigError, match=message) as info:
+    def test_star_configs_rejected(self, fields):
+        domain = re.escape("must each be 0 or in [1e-100, 1e+100]")
+        with pytest.raises(ConfigError, match=domain) as info:
             BehaviorConfig(**fields)
-        assert all(name in str(info.value) for name in fields)
+        assert all(f"{name}={value}" in str(info.value) for name, value in fields.items())
 
     def test_tiny_factors(self):
-        # One subnormal factor stays valid; the kernel's floor of 0.05 takes it to 0.
-        BehaviorConfig(candidate_degree_ramp=(5e-324, 5e-324))
-        BehaviorConfig(candidate_degree_ramp=(5e-324, 5e-324), similar_degree_width=math.inf)
-        with pytest.raises(ConfigError, match="similar_degree_width, candidate_degree_ramp"):
-            BehaviorConfig(candidate_degree_ramp=(5e-324, 5e-324), similar_degree_width=3.0)
-        # From 0 to one subnormal, degree 6's ramp value of 5e-324 / 5 rounds to 0.
-        with pytest.raises(ConfigError, match="rounds to 0 between its ends"):
-            BehaviorConfig(candidate_degree_ramp=(0.0, 5e-324))
+        # A subnormal weight would skew the pick, as u * total rounds to a
+        # multiple of 5e-324; it is refused, as is any weight just outside
+        # the domain.
+        below, above = math.nextafter(1e-100, 0.0), math.nextafter(1e100, math.inf)
+        for ramp in ((5e-324, 5e-324), (0.0, 5e-324), (below, 1.0), (1.0, above)):
+            with pytest.raises(ConfigError, match="candidate_degree_ramp"):
+                BehaviorConfig(candidate_degree_ramp=ramp)
+        for name in ("own_group_weight_uninfected", "own_group_weight_infected",
+                     "infected_candidate_weight"):
+            for bad in (below, above, -0.5, 5e-324):
+                with pytest.raises(ConfigError, match=f"{name}="):
+                    BehaviorConfig(**{name: bad})
+            for good in (0.0, 1e-100, 1e100):
+                BehaviorConfig(**{name: good})
+        BehaviorConfig(candidate_degree_ramp=(0.0, 1e-100))
+        BehaviorConfig(candidate_degree_ramp=(1e100, 0.0))
         # A zero factor is no product: the weight is meant to be 0.
-        BehaviorConfig(own_group_weight_infected=0.0, infected_candidate_weight=1e-300,
+        BehaviorConfig(own_group_weight_infected=0.0, infected_candidate_weight=1e-100,
                        similar_degree_width=2.0)
 
     @pytest.mark.parametrize("infected,names", [
@@ -425,41 +434,51 @@ class TestWeightProducts:
     ], ids=["uninfected", "infected"])
     def test_largest_accepted_weights_pick_uniformly(self, infected, names):
         def behavior(w: float) -> BehaviorConfig:
-            return BehaviorConfig(**dict.fromkeys(names, w))
+            return BehaviorConfig(**dict.fromkeys(names, w), candidate_degree_ramp=(w, w))
 
         w = _largest_accepted(behavior)
-        assert w > 1e150
+        assert w == 1e100
         counts = _star_picks(infected, behavior(w))
         assert sum(counts) == 3000
         assert stats.chisquare(counts).pvalue >= 1e-3
 
+    def test_smallest_weights_pick_uniformly(self):
+        # Two group weights and the ramp at 1e-100, and the kernel at its
+        # floor of 0.05 (the hub's degree 3 against a leaf's 1): about 5e-302.
+        behavior = BehaviorConfig(own_group_weight_infected=1e-100,
+                                  infected_candidate_weight=1e-100,
+                                  candidate_degree_ramp=(1e-100, 1e-100),
+                                  similar_degree_width=1e-3)
+        star = Network(np.ones(4, dtype=bool), np.array([[0, 1], [0, 2], [0, 3]]))
+        assert recruitment_weight(star, behavior, 0, 1) == 1e-100 * 1e-100 * 0.05 * 1e-100
+        counts = _star_picks(True, behavior)
+        assert sum(counts) == 3000
+        assert stats.chisquare(counts).pvalue >= 1e-3
 
-_weights = st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 3.7]) | st.floats(0.0, 10.0)
+
+# Weights are 0 or in [1e-100, 1e100] (`TestWeightProducts`).
+_weights = (st.sampled_from([0.0, 0.05, 0.5, 1.0, 2.0, 3.7, 1e-100, 1e100])
+            | st.floats(1e-100, 10.0) | st.floats(1e-100, 1e100))
 _probs = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)
 
 
 @st.composite
 def behaviors(draw) -> BehaviorConfig:
-    # Weights that can multiply to 0 or overflow, such as two tiny ones, make
-    # a rejected config (`TestWeightProducts`); such draws are skipped.
-    try:
-        return BehaviorConfig(
-            own_group_weight_uninfected=draw(_weights),
-            own_group_weight_infected=draw(_weights),
-            infected_candidate_weight=draw(_weights),
-            similar_degree_width=draw(
-                st.none() | st.sampled_from([float("inf"), 1e-3, 4.0]) | st.floats(0.01, 50.0)
-            ),
-            candidate_degree_ramp=draw(st.none() | st.tuples(_weights, _weights)),
-            pass_prob_uninfected=draw(_probs),
-            pass_prob_infected=draw(_probs),
-            pass_degree_ramp=draw(st.tuples(_probs, _probs)),
-            response_prob_uninfected=draw(_probs),
-            response_prob_infected=draw(_probs),
-            response_degree_ramp=draw(st.tuples(_probs, _probs)),
-        )
-    except ConfigError:
-        reject()
+    return BehaviorConfig(
+        own_group_weight_uninfected=draw(_weights),
+        own_group_weight_infected=draw(_weights),
+        infected_candidate_weight=draw(_weights),
+        similar_degree_width=draw(
+            st.none() | st.sampled_from([float("inf"), 1e-3, 4.0]) | st.floats(0.01, 50.0)
+        ),
+        candidate_degree_ramp=draw(st.none() | st.tuples(_weights, _weights)),
+        pass_prob_uninfected=draw(_probs),
+        pass_prob_infected=draw(_probs),
+        pass_degree_ramp=draw(st.tuples(_probs, _probs)),
+        response_prob_uninfected=draw(_probs),
+        response_prob_infected=draw(_probs),
+        response_degree_ramp=draw(st.tuples(_probs, _probs)),
+    )
 
 
 def _pass_prob(b: BehaviorConfig, infected: bool, degree: int) -> float:
@@ -501,6 +520,21 @@ class TestBehaviorTables:
             assert len(tables.weight) == 2 * len(set(degrees))
             code, weight = tables.code, tables.weight
             assert [[weight[code[h]][code[v]] for v in nodes] for h in nodes] == expected
+
+    @given(
+        b=behaviors(),
+        net_seed=st.integers(0, 2**16),
+        mean_degree=st.sampled_from([2.0, 7.0, 15.0]),
+    )
+    def test_weights_are_zero_or_normal(self, b, net_seed, mean_degree):
+        # A total of at least 2**-1021 keeps u * total below it for every
+        # u < 1, so the weighted pick never needs a cap at the last candidate.
+        net = generate_network(NetworkSpec(
+            n_nodes=120, n_infected=30, mean_degree=mean_degree,
+            differential_activity=1.5, rng_seed=net_seed))
+        weights = [w for row in _Tables(net, b).weight or [[1.0]] for w in row]
+        assert all(w == 0.0 or w >= 2**-1021 for w in weights)
+        assert math.isfinite(max(weights) * MAX_NODES)
 
     def test_identity_behavior_is_uniform(self):
         net = generate_network(NetworkSpec(rng_seed=3))
@@ -759,15 +793,6 @@ class TestRunRds:
         assert list(accumulate(weights))[-1] < math.fsum(weights) == 1.0
         assert self._first_recruit(monkeypatch, 0.1, 0.5) == 5
 
-    def test_weighted_pick_at_the_total_takes_the_last(self, monkeypatch):
-        # Doubles near a subnormal total are spaced so coarsely that the
-        # largest uniform times the total rounds back to the total, which no
-        # running sum exceeds: the walk ends on the last candidate.
-        u = float(np.nextafter(1.0, 0.0))
-        assert u * (10 * 5e-324) == 10 * 5e-324
-        assert self._first_recruit(monkeypatch, 5e-324, u) == 10
-        assert self._first_recruit(monkeypatch, 5e-324, 0.0) == 1
-
     @pytest.mark.parametrize("reseed", [False, True])
     def test_many_coupons_cost_no_memory(self, reseed):
         # A path of four nodes and a separate edge, identity behaviour: each
@@ -865,6 +890,9 @@ class TestSampleSerialization:
         exhausted=st.booleans(),
     )
     def test_round_trip_any_sample(self, tmp_path_factory, records, counts, exhausted):
+        # As `run_rds` counts it, and the loader checks it: one coupon per recruit.
+        counts = dataclasses.replace(
+            counts, coupons_used=sum(r.recruiter_id is not None for r in records))
         path = tmp_path_factory.mktemp("sample") / "sample.txt"
         save_sample(Sample(records, counts, exhausted), path)
         back = load_sample(path)
@@ -894,12 +922,22 @@ class TestSampleSerialization:
              "earlier in the sample"),
             ("0 5 3 1 -1 0 0\n1 5 2 0 5 1 0\n", "bad.txt:3: node_id 5 repeats a respondent "
              "already named as a recruiter"),
+            ("0 5 3 1 -1 0 0\n# coupons_issued -5\n", "bad.txt:3: coupons_issued must be >= 0, "
+             "got -5"),
+            ("0 5 3 1 -1 0 0\n# nonresponses -1\n", "bad.txt:3: nonresponses must be >= 0"),
+            ("0 5 3 1 -1 0 0\n1 6 2 0 5 1 0\n# coupons_used 999\n# coupons_expired 0\n",
+             "bad.txt:4: coupons_used 999 differs from the 1 rows that name a recruiter"),
+            ("# coupons_used 0\n0 5 3 1 -1 0 0\n1 6 2 0 5 1 0\n",
+             "bad.txt:2: coupons_used 0 differs from the 1 rows"),
         ]:
             path.write_text(header + rows)
             with pytest.raises(ConfigError, match=message):
                 load_sample(path)
         path.write_text(header + "0 5 0 1 -1 0 0\n")  # an isolated respondent
         assert load_sample(path).degree.tolist() == [0]
+        # Without its comment block a sample reads every tally as 0.
+        path.write_text(header + "0 5 3 1 -1 0 0\n1 6 2 0 5 1 0\n")
+        assert load_sample(path).counts == EventCounts()
         # A repeated node id nobody has named yet is kept; a recruiter id
         # names its last respondent.
         path.write_text(header + "0 5 3 1 -1 0 0\n1 5 3 1 -1 0 0\n2 6 2 0 5 1 0\n")
